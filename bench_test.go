@@ -397,15 +397,19 @@ func BenchmarkPopulationScale(b *testing.B) {
 // (scripts/bench.sh tags every cell with shards and GOMAXPROCS, and
 // bench_compare.sh only compares like-for-like cells); on an 8-core
 // machine the 20k-population cell is expected to clear 4× the serial
-// throughput (a 1-core container can only show the single-core sharding
-// overhead). Each cell also reports coordination_share (barrier events
+// throughput. It skips itself when GOMAXPROCS exceeds the CPU count,
+// where workers timeshare and the cells would only measure rendezvous
+// overhead. Each cell also reports coordination_share (barrier events
 // over total — the serial fraction that caps the parallel speedup) and
-// worker_stall_ns (wall-clock workers spent parked behind stragglers).
+// worker_stall_ns (wall-clock time workers spent waiting at barriers).
 // Results are byte-identical to a 1-worker sharded run —
 // TestShardedWorkerInvariance pins that — so this measures wall-clock
 // only.
 func BenchmarkPopulationScaleParallel(b *testing.B) {
 	shards := runtime.GOMAXPROCS(0)
+	if cpus := runtime.NumCPU(); shards > cpus {
+		b.Skipf("GOMAXPROCS=%d exceeds the %d CPUs: workers would timeshare, measuring overhead rather than parallel throughput", shards, cpus)
+	}
 	for _, pop := range []int{1000, 5000, 20000} {
 		b.Run(fmt.Sprintf("pop=%d", pop), func(b *testing.B) {
 			var events, barrier uint64

@@ -44,8 +44,11 @@ type Result struct {
 	// Sharded-run extras (zero on the classic path). ShardEvents counts
 	// events per locality cell and BarrierEvents the single-threaded
 	// coordination work; both are deterministic per seed. WorkerStallNs is
-	// wall-clock time each worker spent parked at epoch barriers waiting
-	// for stragglers — the load-imbalance signal, not deterministic.
+	// wall-clock time each worker spent waiting at epoch barriers — the
+	// load-imbalance signal, not deterministic. Index 0 is the goroutine
+	// that called Run waiting for the helpers; index w ≥ 1 is helper w
+	// waiting for the next epoch, barrier included. Spin and park time
+	// both count as stall.
 	// BarriersRun counts the epoch boundaries that actually executed the
 	// barrier rendezvous (< Epochs when elision skipped provable no-ops;
 	// deterministic per seed).

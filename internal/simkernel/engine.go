@@ -4,11 +4,22 @@
 // serial coordination kernel through fixed-width virtual-time epochs. In
 // the parallel phase every cell runs its private event queue up to the
 // epoch boundary — cells share no mutable state, so the phase parallelises
-// across worker goroutines with no locking inside the kernels. At the
-// boundary the workers park and the barrier callback runs single-threaded:
-// it drains the coordination kernel and imports cross-cell mail in a fixed
-// order, so results are a pure function of the scenario — byte-identical
-// for any worker count, including 1.
+// across workers with no locking inside the kernels. Cell i always runs on
+// worker i mod workers, so a cell's heap and host state stay on one
+// goroutine. At the boundary the workers wait and the barrier callback runs
+// single-threaded: it drains the coordination kernel and imports cross-cell
+// mail in a fixed order, so results are a pure function of the scenario —
+// byte-identical for any worker count, including 1.
+//
+// The goroutine calling Run is worker 0; workers−1 helper goroutines live
+// for the duration of the call. Worker 0 releases an epoch by publishing
+// the boundary and bumping an atomic generation counter, and each helper
+// bumps an atomic done counter when its cells reach the boundary. An epoch
+// typically carries a few microseconds of work, so a waiting worker spins
+// on the counter for up to ~100µs before parking on its own channel; when
+// there are more workers than CPUs (min of GOMAXPROCS and NumCPU) spinning
+// would steal the CPU the awaited worker needs, and every wait parks at
+// once.
 //
 // Virtual time never exceeds the boundary inside a phase, so two cells can
 // never observe each other at divergent clocks: all inter-cell effects are
@@ -21,6 +32,8 @@
 package simkernel
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -65,16 +78,28 @@ type Engine struct {
 	epochs        uint64
 	stallNs       []int64
 
-	idx    int64 // atomic: next cell to claim within the current epoch
-	workCh []chan Time
-	doneCh chan struct{}
+	// Epoch rendezvous (workers > 1). Worker 0 — the goroutine in Run —
+	// publishes boundary and bumps gen to release an epoch; each helper
+	// bumps done when its cells reach the boundary. quit, set before the
+	// final release, tells the helpers to exit. The padding keeps the
+	// line the workers spin on apart from worker 0's bookkeeping.
+	_        [64]byte
+	gen      atomic.Uint64
+	done     atomic.Int64
+	_        [48]byte
+	boundary Time
+	quit     bool
+	spin     int
+	parkers  []parker // per worker; index 0 is the caller of Run
+	wg       sync.WaitGroup
 }
 
 // NewEngine builds an epoch engine over cells. width is the epoch length
 // (at most the minimum cross-cell latency for exact-arrival fidelity;
 // larger widths stay deterministic but defer cross-cell delivery).
-// workers is the number of goroutines draining cells each epoch; values
-// below 1 or above len(cells) are clamped. The callbacks may be nil.
+// workers is the number of goroutines draining cells each epoch, the
+// caller of Run included; values below 1 or above len(cells) are clamped.
+// The callbacks may be nil.
 func NewEngine(cells []*Kernel, width Time, workers int, preParallel func(), barrier func(Time) uint64, earliestExtra func() (Time, bool)) *Engine {
 	if width <= 0 {
 		panic("simkernel: non-positive epoch width")
@@ -139,8 +164,8 @@ func (e *Engine) Run(until Time) uint64 {
 	b := e.cells[0].Now() // all kernels agree on the boundary between runs
 	e.refreshAll()
 	if e.workers > 1 {
-		e.startWorkers()
-		defer e.stopWorkers()
+		e.startHelpers()
+		defer e.stopHelpers()
 	}
 	for b < until {
 		next := b + e.width
@@ -161,16 +186,7 @@ func (e *Engine) Run(until Time) uint64 {
 			e.preParallel()
 		}
 		if e.workers <= 1 {
-			// Only cells with a record due this epoch run; a skipped cell's
-			// heap is untouched (nothing fires, nothing is scheduled onto it
-			// outside a barrier), so its cached next time stays exact and
-			// only its clock lags — repaired before any barrier below.
-			for i, c := range e.cells {
-				if e.nextOk[i] && e.nextAt[i] <= next {
-					e.cellEvents[i] += c.Run(next)
-					e.nextAt[i], e.nextOk[i] = c.NextEvent()
-				}
-			}
+			e.runOwned(0, next)
 		} else {
 			e.runParallel(next)
 		}
@@ -212,65 +228,150 @@ func (e *Engine) Run(until Time) uint64 {
 	return total - before
 }
 
-func (e *Engine) startWorkers() {
-	e.workCh = make([]chan Time, e.workers)
-	e.doneCh = make(chan struct{}, e.workers)
-	for w := 0; w < e.workers; w++ {
-		e.workCh[w] = make(chan Time, 1)
-		go e.worker(w)
-	}
+// spinBudget is how many times a waiting worker checks the rendezvous
+// before parking. An epoch carries a few microseconds of work, far less
+// than a futex wake-up, so a worker that spins ~100µs across the barrier
+// almost never parks mid-run; a much smaller budget parks on nearly every
+// boundary and pays the wake-up each epoch.
+const spinBudget = 100_000
+
+// parker is one worker's wait slot: spin on a condition for the engine's
+// budget, then park on a 1-slot channel. The waiter sets sleeping before
+// its last check of the condition and whoever clears it by
+// compare-and-swap owns the wake-up — the waiter itself, if it saw the
+// condition hold, or unpark, which then sends exactly one token. No
+// wake-up is lost and at most one token is ever pending.
+type parker struct {
+	sleeping atomic.Bool
+	wake     chan struct{}
+	_        [48]byte // keep each worker's flag on its own cache line
 }
 
-func (e *Engine) stopWorkers() {
-	for _, ch := range e.workCh {
-		close(ch)
-	}
-	e.workCh = nil
-}
-
-// worker drains cells claimed through the shared atomic cursor until the
-// epoch is exhausted, then reports done and waits for the next epoch. Time
-// spent waiting at the barrier is accumulated per worker so locality load
-// imbalance is visible to the harness.
-func (e *Engine) worker(w int) {
-	var idleSince time.Time
-	for b := range e.workCh[w] {
-		if !idleSince.IsZero() {
-			e.stallNs[w] += time.Since(idleSince).Nanoseconds()
+// wait returns once ready holds. A token can arrive late — sent for an
+// earlier condition by a waker that was slow to get to unpark — so a woken
+// waiter re-checks before returning.
+func (p *parker) wait(spin int, ready func() bool) {
+	for i := 0; i < spin; i++ {
+		if ready() {
+			return
 		}
-		for {
-			i := atomic.AddInt64(&e.idx, 1) - 1
-			if i >= int64(len(e.cells)) {
-				break
+	}
+	for {
+		p.sleeping.Store(true)
+		if ready() {
+			if !p.sleeping.CompareAndSwap(true, false) {
+				<-p.wake // unpark claimed the flag first: take its token
 			}
-			// Cells with nothing due this epoch are skipped, exactly as in
-			// the single-worker loop. The cache reads are safe: the last
-			// write was by a worker holding this cell in a previous epoch or
-			// by the main goroutine with all workers parked, both ordered
-			// before this claim by the epoch channels.
-			if !e.nextOk[i] || e.nextAt[i] > b {
-				continue
-			}
-			// Distinct workers always hold distinct cells, so the per-cell
-			// counter and cache updates need no synchronisation.
+			return
+		}
+		<-p.wake
+	}
+}
+
+// unpark wakes the waiter if it has parked or is about to. Call it after
+// making the waiter's condition true.
+func (p *parker) unpark() {
+	if p.sleeping.Load() && p.sleeping.CompareAndSwap(true, false) {
+		p.wake <- struct{}{}
+	}
+}
+
+// startHelpers launches workers−1 helper goroutines; the caller of Run is
+// worker 0. Spinning only pays when every worker has a CPU of its own:
+// oversubscribed, a spinning worker burns the timeslice the one it waits
+// for needs, so everyone parks at once instead.
+func (e *Engine) startHelpers() {
+	e.spin = spinBudget
+	if procs := min(runtime.GOMAXPROCS(0), runtime.NumCPU()); e.workers > procs {
+		e.spin = 0
+	}
+	e.quit = false
+	e.parkers = make([]parker, e.workers)
+	for w := range e.parkers {
+		e.parkers[w].wake = make(chan struct{}, 1)
+	}
+	gen := e.gen.Load()
+	e.wg.Add(e.workers - 1)
+	for w := 1; w < e.workers; w++ {
+		go e.helper(w, gen)
+	}
+}
+
+// stopHelpers releases a final generation with quit set and waits until
+// every helper has returned, so no goroutine outlives Run.
+func (e *Engine) stopHelpers() {
+	e.quit = true
+	e.release()
+	e.wg.Wait()
+	e.parkers = nil
+}
+
+// release publishes the boundary and quit flag by bumping the generation,
+// then wakes every helper that has parked.
+func (e *Engine) release() {
+	e.done.Store(0)
+	e.gen.Add(1)
+	for w := 1; w < e.workers; w++ {
+		e.parkers[w].unpark()
+	}
+}
+
+// helper is worker w's loop: wait for a generation past seen, drain the
+// owned cells up to the published boundary, report done — the last helper
+// to finish wakes worker 0. The wait, spin and park alike, is barrier
+// stall, summed locally and published once the helper exits.
+func (e *Engine) helper(w int, seen uint64) {
+	defer e.wg.Done()
+	p := &e.parkers[w]
+	helpers := int64(e.workers - 1)
+	var stall int64
+	for {
+		idle := time.Now()
+		p.wait(e.spin, func() bool { return e.gen.Load() != seen })
+		seen = e.gen.Load()
+		stall += time.Since(idle).Nanoseconds()
+		if e.quit {
+			e.stallNs[w] += stall
+			return
+		}
+		e.runOwned(w, e.boundary)
+		if e.done.Add(1) == helpers {
+			e.parkers[0].unpark()
+		}
+	}
+}
+
+// runOwned runs worker w's cells — cell i always belongs to worker
+// i mod workers — up to boundary b. Only cells with a record due this epoch
+// run; a skipped cell's heap is untouched (nothing fires, nothing is
+// scheduled onto it outside a barrier), so its cached next time stays
+// exact and only its clock lags — repaired before any barrier. The cache
+// and counter reads and writes need no synchronisation: only the owner
+// touches them during a phase, and the generation and done counters order
+// them against worker 0's barrier.
+func (e *Engine) runOwned(w int, b Time) {
+	for i := w; i < len(e.cells); i += e.workers {
+		if e.nextOk[i] && e.nextAt[i] <= b {
 			e.cellEvents[i] += e.cells[i].Run(b)
 			e.nextAt[i], e.nextOk[i] = e.cells[i].NextEvent()
 		}
-		idleSince = time.Now()
-		e.doneCh <- struct{}{}
 	}
 }
 
-// runParallel runs one epoch across the persistent workers and waits for
-// all of them to park.
+// runParallel runs one epoch as worker 0: release the helpers, drain its
+// own cells, then wait for every helper to report done. The wait counts as
+// worker 0's stall.
 func (e *Engine) runParallel(boundary Time) {
-	atomic.StoreInt64(&e.idx, 0)
-	for _, ch := range e.workCh {
-		ch <- boundary
+	e.boundary = boundary
+	e.release()
+	e.runOwned(0, boundary)
+	helpers := int64(e.workers - 1)
+	if e.done.Load() == helpers {
+		return
 	}
-	for range e.workCh {
-		<-e.doneCh
-	}
+	idle := time.Now()
+	e.parkers[0].wait(e.spin, func() bool { return e.done.Load() == helpers })
+	e.stallNs[0] += time.Since(idle).Nanoseconds()
 }
 
 // CellEvents returns the cumulative events processed per cell. The slice
@@ -305,8 +406,11 @@ func (e *Engine) EnableBarrierElision(mailPending func() bool) {
 }
 
 // WorkerStallNs returns the cumulative wall-clock nanoseconds each worker
-// spent parked at barriers waiting for stragglers — the load-imbalance
-// signal. Indexed by worker, valid only while the engine is idle.
+// spent waiting at barriers — the load-imbalance signal. Index 0 is the
+// caller of Run waiting for the helpers to finish an epoch; index w ≥ 1 is
+// helper w waiting for the next epoch to be released, which includes the
+// barrier callback. Spinning and parking both count as stall. Indexed by
+// worker, valid only while the engine is idle.
 func (e *Engine) WorkerStallNs() []int64 { return e.stallNs }
 
 // Workers returns the effective worker count after clamping.

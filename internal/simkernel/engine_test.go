@@ -3,7 +3,9 @@ package simkernel
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // engineHarness is a miniature sharded workload: every cell runs a ticker
@@ -91,6 +93,81 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if refTotal == 0 {
 		t.Fatal("harness processed no events")
+	}
+}
+
+// goroutinesAtMost polls runtime.NumGoroutine for up to ~100ms until it is
+// at most want and returns the last count. A helper that has already
+// signalled the WaitGroup may still be returning from its function when
+// Run hands back control; a helper that never stopped keeps the count up.
+func goroutinesAtMost(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000 && n > want; i++ {
+		time.Sleep(100 * time.Microsecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestEngineStopWaitsForHelpers: no helper goroutine outlives Run —
+// neither after the first call nor after a second call that continues
+// from the previous boundary — and the split run still matches a single
+// 1-worker run to the same horizon.
+func TestEngineStopWaitsForHelpers(t *testing.T) {
+	refLogs, refCounts, _ := newEngineHarness(5, 42).run(1, 2000)
+
+	base := runtime.NumGoroutine()
+	h := newEngineHarness(5, 42)
+	eng := NewEngine(h.cells, 10, 4, nil, h.barrier, h.coord.NextEvent)
+	for _, until := range []Time{1000, 2000} {
+		eng.Run(until)
+		if n := goroutinesAtMost(base); n > base {
+			t.Fatalf("after Run(%d): %d goroutines, want baseline %d", until, n, base)
+		}
+	}
+	if !reflect.DeepEqual(h.logs, refLogs) {
+		t.Fatal("two-call 4-worker run's logs diverge from the 1-worker run")
+	}
+	if counts := eng.CellEvents(); !reflect.DeepEqual(counts, refCounts) {
+		t.Fatalf("two-call 4-worker run's cell counts %v != %v", counts, refCounts)
+	}
+}
+
+// TestEngineOversubscribed: with more workers than Ps the rendezvous must
+// park instead of spin — a spinning helper would burn the only timeslice
+// the worker it waits for can use — and still produce the 1-worker logs
+// and counts exactly. A watchdog turns a livelock into a prompt failure.
+func TestEngineOversubscribed(t *testing.T) {
+	const until = 2000
+	refLogs, refCounts, refTotal := newEngineHarness(9, 42).run(1, until)
+	for _, tc := range []struct{ procs, workers int }{{1, 8}, {2, 2}} {
+		prev := runtime.GOMAXPROCS(tc.procs)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+
+		h := newEngineHarness(9, 42)
+		eng := NewEngine(h.cells, 10, tc.workers, nil, h.barrier, h.coord.NextEvent)
+		finished := make(chan uint64, 1)
+		go func() { finished <- eng.Run(until) }()
+		var total uint64
+		select {
+		case total = <-finished:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("GOMAXPROCS=%d workers=%d: Run did not finish", tc.procs, tc.workers)
+		}
+		runtime.GOMAXPROCS(prev)
+
+		if tc.workers > tc.procs && eng.spin != 0 {
+			t.Fatalf("GOMAXPROCS=%d workers=%d: spin budget %d, want 0", tc.procs, tc.workers, eng.spin)
+		}
+		if !reflect.DeepEqual(h.logs, refLogs) {
+			t.Fatalf("GOMAXPROCS=%d workers=%d: logs diverge from workers=1", tc.procs, tc.workers)
+		}
+		if counts := eng.CellEvents(); !reflect.DeepEqual(counts, refCounts) {
+			t.Fatalf("GOMAXPROCS=%d workers=%d: cell counts %v != %v", tc.procs, tc.workers, counts, refCounts)
+		}
+		if total != refTotal {
+			t.Fatalf("GOMAXPROCS=%d workers=%d: total %d != %d", tc.procs, tc.workers, total, refTotal)
+		}
 	}
 }
 

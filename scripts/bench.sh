@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the repo's core benchmarks and writes BENCH_<n>.json with ns/op,
-# B/op and allocs/op per benchmark, so the perf trajectory across PRs is
-# machine-readable. Usage:
+# B/op and allocs/op per benchmark plus the machine's CPU count (nproc),
+# so the perf trajectory across PRs is machine-readable. Usage:
 #
 #   scripts/bench.sh <pr-number> [benchtime]
 #
@@ -12,6 +12,7 @@ n=${1:?usage: scripts/bench.sh <pr-number> [benchtime]}
 benchtime=${2:-3x}
 root=$(cd "$(dirname "$0")/.." && pwd)
 out="$root/BENCH_${n}.json"
+cpus=$(nproc)
 
 run() { # run <benchtime> <pattern> <packages...>
   local bt=$1 pat=$2
@@ -34,10 +35,16 @@ run() { # run <benchtime> <pattern> <packages...>
   run "$benchtime" 'PopulationScaleGray$' .
   # The parallel chart is pinned at GOMAXPROCS=4 so the snapshot rows are
   # tagged consistently across machines (Go only appends the -N name
-  # suffix for the procs the run actually used). Subshell, not an env
-  # prefix: `VAR=x shell_function` does not export into the function's
-  # child processes on all bash versions.
-  (export GOMAXPROCS=4 && run "$benchtime" 'PopulationScaleParallel$' .)
+  # suffix for the procs the run actually used). Four workers timesharing
+  # fewer CPUs measure the rendezvous overhead, not a speedup, so on a
+  # smaller box the chart is skipped rather than recorded. Subshell, not
+  # an env prefix: `VAR=x shell_function` does not export into the
+  # function's child processes on all bash versions.
+  if [ "$cpus" -ge 4 ]; then
+    (export GOMAXPROCS=4 && run "$benchtime" 'PopulationScaleParallel$' .)
+  else
+    echo "bench.sh: skipping PopulationScaleParallel: GOMAXPROCS=4 needs 4 CPUs, nproc=$cpus" >&2
+  fi
   # Substrate micro-benchmarks: hot-path costs, higher iteration counts.
   run 1000x 'QueryPath$' ./internal/core
   # Directory periodic sweep: the steady-state slab tick and the
@@ -46,8 +53,8 @@ run() { # run <benchtime> <pattern> <packages...>
   run 10000x 'KernelSchedule$' ./internal/simkernel
   run 10000x 'NetworkSend$' ./internal/simnet
   run 10000x 'GossipRound$' ./internal/gossip
-} | awk -v pr="$n" '
-  BEGIN { printf "{\n  \"pr\": %s,\n  \"benchmarks\": [\n", pr; first = 1 }
+} | awk -v pr="$n" -v nproc="$cpus" '
+  BEGIN { printf "{\n  \"pr\": %s,\n  \"nproc\": %s,\n  \"benchmarks\": [\n", pr, nproc; first = 1 }
   {
     # The -N suffix Go appends to benchmark names is GOMAXPROCS; keep it
     # so throughput cells are tagged with the parallelism they ran under.
