@@ -312,8 +312,9 @@ type Deps struct {
 	// driven by simkernel.Engine between epoch barriers, with Kernel as
 	// the serial coordination kernel. Must have exactly cfg.TotalCells()
 	// entries — one per locality, or more when cfg.CellSplit spreads hot
-	// localities over several cells. Nil selects the classic single-kernel
-	// path.
+	// localities over several cells. Nil selects the classic run, which
+	// New builds as the one-cell case: Kernel is its only cell, Metrics its
+	// collector and Tracer (when set) its tracer.
 	Cells []*simkernel.Kernel
 	// CellMetrics holds one collector per cell (required with Cells;
 	// Metrics is ignored then). Each parallel phase writes only its own

@@ -125,18 +125,14 @@ func (s *System) timeout(a, b simnet.NodeID) simkernel.Time {
 
 // await arms a cancellable timeout for q; any settle (on response) or a
 // newer await revokes it. At most one timeout per query is armed at a
-// time, so completion leaves no dead events behind. On the sharded path
-// the timer lives on the kernel of the executing context: the origin's
-// cell during parallel phases (handlers touching q always run there, per
-// payloadForeign), the coordination kernel in barrier context.
+// time, so completion leaves no dead events behind. The timer lives on
+// the kernel of the executing context: the origin's cell during parallel
+// phases (handlers touching q always run there, per payloadForeign), the
+// coordination kernel in barrier context.
 func (s *System) await(q *Query, d simkernel.Time, onTimeout func()) {
 	s.settle(q)
 	tok := q.token
-	k := s.k
-	if s.cells != nil && !s.net.InBarrier() {
-		k = s.cells[s.net.CellOf(q.Origin)]
-	}
-	q.pending = k.After(d, func() {
+	q.pending = s.execKernel(q.Origin).After(d, func() {
 		if q.token == tok && !q.finished {
 			onTimeout()
 		}

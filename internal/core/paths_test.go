@@ -203,7 +203,7 @@ func newTestEnvWithTracer(t *testing.T, seed int64, k *simkernel.Kernel) *traced
 	// Rebuild with a tracer: simplest is to reconstruct deps; instead we
 	// re-create the environment manually here.
 	buf := trace.NewBuffer(100000)
-	base.sys.tracer = buf
+	base.sys.cellTracers = []trace.Tracer{buf}
 	return &tracedEnv{testEnv: base, buf: buf}
 }
 

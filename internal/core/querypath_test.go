@@ -83,7 +83,7 @@ func TestQueryPathAllocs(t *testing.T) {
 // before formatting, so with a nil tracer the calls are free.
 func TestTraceDisabledAllocs(t *testing.T) {
 	e, member, dir, ref := queryPathEnv(t)
-	if e.sys.tracer != nil {
+	if e.sys.tracing() {
 		t.Fatal("env unexpectedly traced")
 	}
 	q := &Query{ID: 1, Origin: member.addr, Site: e.cfg.Sites[0], Ref: ref}

@@ -40,7 +40,6 @@ type System struct {
 	k    *simkernel.Kernel
 	net  *simnet.Network
 	topo *topology.Topology
-	mets *metrics.Collector
 
 	// in is the dense object interner shared by every layer touching
 	// content identity (overlay bitsets, directory indexes, Bloom probes).
@@ -62,14 +61,12 @@ type System struct {
 	servers map[model.SiteID]simnet.NodeID
 	pools   [][][]simnet.NodeID // [activeSiteIdx][loc][member]
 
-	rng *rand.Rand
-	qid uint64
-
-	// Sharded-mode state (Deps.Cells): one kernel, RNG and collector — and
-	// optionally one tracer — per topology locality. Nil/empty on the
-	// classic single-kernel path. The cells' clocks advance in lock-step
-	// epochs under simkernel.Engine; all cross-cell work executes on s.k
-	// (the coordination kernel) at epoch barriers.
+	// Cell state: one kernel, RNG and collector — and optionally one
+	// tracer — per cell. A classic run is the one-cell case, whose cell is
+	// s.k itself. On a sharded run (Deps.Cells) the cells' clocks advance
+	// in lock-step epochs under simkernel.Engine; all cross-cell work
+	// executes on s.k (the coordination kernel) at epoch barriers.
+	// cellTracers is nil when tracing is off.
 	cells       []*simkernel.Kernel
 	cellRng     []*rand.Rand
 	cellMets    []*metrics.Collector
@@ -82,9 +79,8 @@ type System struct {
 
 	// mpools recycles gossip envelopes and the view-subset slices
 	// travelling inside them, one pool per cell so parallel phases never
-	// share a free list (a single pool on the classic path). Envelopes
-	// lost to dead receivers simply never come back — a pool refills on
-	// the next allocation.
+	// share a free list. Envelopes lost to dead receivers simply never come
+	// back — a pool refills on the next allocation.
 	mpools []msgPool
 
 	// Long-lived bound callbacks for the AfterArg-scheduled
@@ -119,8 +115,7 @@ type System struct {
 	// owning locality's cell.
 	shedInFlight []int32
 
-	tracer trace.Tracer
-	stats  []Stats // per cell; a single element on the classic path
+	stats []Stats // per cell
 }
 
 // msgPool is one cell's recycled gossip machinery.
@@ -175,36 +170,22 @@ func (s *System) takeSubsetBuf(cell int) []gossip.Entry {
 // --- Execution-context helpers ---------------------------------------------
 //
 // Every helper takes the address of the host whose state is involved and
-// resolves to that host's cell on the sharded path, or to the single
-// shared context on the classic path. The non-foreign delivery invariant
-// (see payloadForeign and simnet's venue rules) guarantees that during a
+// resolves to that host's cell. The non-foreign delivery invariant (see
+// payloadForeign and simnet's venue rules) guarantees that during a
 // parallel phase the executing kernel IS the addressed host's cell, so
 // these helpers never read another running kernel's state.
 
-// cellIdx returns the cell a node's state lives in (0 on the classic path).
-func (s *System) cellIdx(addr simnet.NodeID) int {
-	if s.cells == nil {
-		return 0
-	}
-	return s.net.CellOf(addr)
-}
+// cellIdx returns the cell a node's state lives in.
+func (s *System) cellIdx(addr simnet.NodeID) int { return s.net.CellOf(addr) }
 
 // prand is the RNG for draws involving a host's state: the host's cell
-// RNG on the sharded path, the system RNG otherwise. Venue staticness
-// makes each stream's draw order independent of worker count.
-func (s *System) prand(addr simnet.NodeID) *rand.Rand {
-	if s.cells == nil {
-		return s.rng
-	}
-	return s.cellRng[s.net.CellOf(addr)]
-}
+// RNG. Venue staticness makes each stream's draw order independent of
+// worker count.
+func (s *System) prand(addr simnet.NodeID) *rand.Rand { return s.cellRng[s.cellIdx(addr)] }
 
 // metsAt is the collector accounting a host's events.
 func (s *System) metsAt(addr simnet.NodeID) *metrics.Collector {
-	if s.cells == nil {
-		return s.mets
-	}
-	return s.cellMets[s.net.CellOf(addr)]
+	return s.cellMets[s.cellIdx(addr)]
 }
 
 // statsAt is the protocol-counter bank for a host's cell.
@@ -214,26 +195,33 @@ func (s *System) statsAt(addr simnet.NodeID) *Stats {
 
 // nowAt is the current simulated time in the execution context that owns
 // addr: the owning cell's clock during parallel phases, the coordination
-// kernel's clock during barriers and on the classic path.
+// kernel's clock during barriers (which is all of a one-cell run).
 func (s *System) nowAt(addr simnet.NodeID) simkernel.Time {
-	if s.cells == nil || s.net.InBarrier() {
+	if s.net.InBarrier() {
 		return s.k.Now()
 	}
-	return s.cells[s.net.CellOf(addr)].Now()
+	return s.cells[s.cellIdx(addr)].Now()
 }
 
 // hostKernel is the kernel a host's private timers (tickers, failure
-// timeouts) live on: the host's cell kernel when sharded, s.k otherwise.
+// timeouts) live on: the host's cell kernel.
 func (s *System) hostKernel(addr simnet.NodeID) *simkernel.Kernel {
-	if s.cells == nil {
-		return s.k
-	}
-	return s.cells[s.net.CellOf(addr)]
+	return s.cells[s.cellIdx(addr)]
 }
 
-// tracing reports whether any tracer is installed (guard for the
+// execKernel is the kernel of the executing context for work on behalf of
+// addr's cell: that cell's kernel during parallel phases, the
+// coordination kernel in barrier context.
+func (s *System) execKernel(addr simnet.NodeID) *simkernel.Kernel {
+	if s.net.InBarrier() {
+		return s.k
+	}
+	return s.hostKernel(addr)
+}
+
+// tracing reports whether tracers are installed (guard for the
 // formatting wrappers in tracefmt.go, which pay fmt.Sprintf when true).
-func (s *System) tracing() bool { return s.tracer != nil || s.cellTracers != nil }
+func (s *System) tracing() bool { return s.cellTracers != nil }
 
 // settle invalidates a query's pending retry/redirect timeout. Cancelling
 // mutates the owning kernel's slot arena, so a parallel phase may only
@@ -243,8 +231,7 @@ func (s *System) tracing() bool { return s.tracer != nil || s.cellTracers != nil
 // deterministic because the venue of every delivery is static.
 func (s *System) settle(q *Query) {
 	q.token++
-	if s.cells != nil && !s.net.InBarrier() &&
-		!q.pending.OwnedBy(s.cells[s.net.CellOf(q.Origin)]) {
+	if !s.net.InBarrier() && !q.pending.OwnedBy(s.hostKernel(q.Origin)) {
 		q.pending = simkernel.TimerHandle{}
 		return
 	}
@@ -266,14 +253,10 @@ func (s *System) trace(kind trace.Kind, qid uint64, node, peer simnet.NodeID, de
 // directory, a serve at the origin server), so they pass the origin as
 // ctx — reading a foreign cell's clock or tracer mid-phase would race.
 func (s *System) traceAt(ctx simnet.NodeID, kind trace.Kind, qid uint64, node, peer simnet.NodeID, detail string) {
-	t := s.tracer
-	if s.cellTracers != nil {
-		t = s.cellTracers[s.net.CellOf(ctx)]
-	}
-	if t == nil {
+	if s.cellTracers == nil {
 		return
 	}
-	t.Record(trace.Event{
+	s.cellTracers[s.cellIdx(ctx)].Record(trace.Event{
 		At: s.nowAt(ctx), Kind: kind, QueryID: qid, Node: node, Peer: peer, Detail: detail,
 	})
 }
@@ -288,13 +271,30 @@ func New(cfg Config, deps Deps) (*System, error) {
 	if deps.Kernel == nil || deps.Topo == nil {
 		return nil, fmt.Errorf("core: missing dependencies")
 	}
-	if deps.Cells == nil && deps.Metrics == nil {
-		return nil, fmt.Errorf("core: missing dependencies")
-	}
 	if deps.Topo.Localities() != cfg.Localities {
 		return nil, fmt.Errorf("core: topology has %d localities, config %d", deps.Topo.Localities(), cfg.Localities)
 	}
-	if deps.Cells != nil {
+	ks, err := dring.NewKeySpec(cfg.DRingBits, cfg.Localities, cfg.InstanceBits)
+	if err != nil {
+		return nil, err
+	}
+	var net *simnet.Network
+	var splitBase []int
+	var cellRng []*rand.Rand
+	if deps.Cells == nil {
+		// A classic run is the one-cell case: its cell is the coordination
+		// kernel and draws from the system streams.
+		if deps.Metrics == nil {
+			return nil, fmt.Errorf("core: missing dependencies")
+		}
+		deps.Cells = []*simkernel.Kernel{deps.Kernel}
+		deps.CellMetrics = []*metrics.Collector{deps.Metrics}
+		if deps.Tracer != nil {
+			deps.CellTracers = []trace.Tracer{deps.Tracer}
+		}
+		net = simnet.New(deps.Kernel, deps.Topo)
+		cellRng = []*rand.Rand{deps.Kernel.DeriveRNG("flower-core")}
+	} else {
 		if len(deps.Cells) != cfg.TotalCells() {
 			return nil, fmt.Errorf("core: %d cell kernels for %d cells (%d localities)",
 				len(deps.Cells), cfg.TotalCells(), cfg.Localities)
@@ -305,10 +305,19 @@ func New(cfg Config, deps Deps) (*System, error) {
 		if deps.CellTracers != nil && len(deps.CellTracers) != len(deps.Cells) {
 			return nil, fmt.Errorf("core: %d cell tracers for %d cells", len(deps.CellTracers), len(deps.Cells))
 		}
-	}
-	ks, err := dring.NewKeySpec(cfg.DRingBits, cfg.Localities, cfg.InstanceBits)
-	if err != nil {
-		return nil, err
+		if len(cfg.CellSplit) > 0 {
+			// The node→cell map must exist before placement (construction
+			// itself accounts per cell), so it replays the placement
+			// cursor walk; placeDirectoriesAndPools cross-checks it.
+			net = simnet.NewShardedMapped(deps.Kernel, deps.Cells, deps.Topo, splitCellMap(&cfg, ks, deps.Topo))
+			splitBase = splitBases(&cfg)
+		} else {
+			net = simnet.NewSharded(deps.Kernel, deps.Cells, deps.Topo)
+		}
+		cellRng = make([]*rand.Rand, len(deps.Cells))
+		for i := range deps.Cells {
+			cellRng[i] = deps.Kernel.DeriveRNG(fmt.Sprintf("flower-core-cell-%d", i))
+		}
 	}
 	in := deps.Interner
 	if in == nil {
@@ -324,63 +333,36 @@ func New(cfg Config, deps Deps) (*System, error) {
 			}
 		}
 	}
-	var net *simnet.Network
-	if deps.Cells != nil {
-		if len(cfg.CellSplit) > 0 {
-			// The node→cell map must exist before placement (construction
-			// itself accounts per cell), so it replays the placement
-			// cursor walk; placeDirectoriesAndPools cross-checks it.
-			net = simnet.NewShardedMapped(deps.Kernel, deps.Cells, deps.Topo, splitCellMap(&cfg, ks, deps.Topo))
-		} else {
-			net = simnet.NewSharded(deps.Kernel, deps.Cells, deps.Topo)
-		}
-	} else {
-		net = simnet.New(deps.Kernel, deps.Topo)
-	}
 	s := &System{
-		cfg:       cfg,
-		k:         deps.Kernel,
-		net:       net,
-		topo:      deps.Topo,
-		mets:      deps.Metrics,
-		in:        in,
-		ks:        ks,
-		ring:      chord.NewRing(chord.Config{Bits: cfg.DRingBits, SuccessorList: 8}),
-		hosts:     make([]*host, deps.Topo.NumNodes()),
-		hs:        newHostSoA(deps.Topo.NumNodes()),
-		dirByKey:  make(map[chord.ID]simnet.NodeID),
-		widBySite: make(map[model.SiteID]uint64),
-		servers:   make(map[model.SiteID]simnet.NodeID),
-		rng:       deps.Kernel.DeriveRNG("flower-core"),
-		tracer:    deps.Tracer,
-		stats:     make([]Stats, 1),
-		mpools:    make([]msgPool, 1),
+		cfg:         cfg,
+		k:           deps.Kernel,
+		net:         net,
+		topo:        deps.Topo,
+		in:          in,
+		ks:          ks,
+		ring:        chord.NewRing(chord.Config{Bits: cfg.DRingBits, SuccessorList: 8}),
+		hosts:       make([]*host, deps.Topo.NumNodes()),
+		hs:          newHostSoA(deps.Topo.NumNodes()),
+		dirByKey:    make(map[chord.ID]simnet.NodeID),
+		widBySite:   make(map[model.SiteID]uint64),
+		servers:     make(map[model.SiteID]simnet.NodeID),
+		cells:       deps.Cells,
+		cellRng:     cellRng,
+		cellMets:    deps.CellMetrics,
+		cellTracers: deps.CellTracers,
+		splitBase:   splitBase,
+		stats:       make([]Stats, len(deps.Cells)),
+		mpools:      make([]msgPool, len(deps.Cells)),
 	}
-	if deps.Cells != nil {
-		s.cells = deps.Cells
-		s.cellMets = deps.CellMetrics
-		s.cellTracers = deps.CellTracers
-		s.cellRng = make([]*rand.Rand, len(deps.Cells))
-		for i := range deps.Cells {
-			s.cellRng[i] = deps.Kernel.DeriveRNG(fmt.Sprintf("flower-core-cell-%d", i))
-		}
-		s.stats = make([]Stats, len(deps.Cells))
-		s.mpools = make([]msgPool, len(deps.Cells))
-		sinks := make([]simnet.TrafficSink, len(deps.CellMetrics))
-		for i, c := range deps.CellMetrics {
-			sinks[i] = c
-		}
-		s.net.SetCellSinks(sinks)
-		s.net.SetForeign(s.payloadForeign)
-		s.net.SetGlobalPayload(payloadGlobal)
-		s.net.SetOwner(s.payloadOwner)
-		s.net.SetVenue(s.payloadVenue)
-		if len(cfg.CellSplit) > 0 {
-			s.splitBase = splitBases(&cfg)
-		}
-	} else {
-		s.net.SetSink(deps.Metrics)
+	sinks := make([]simnet.TrafficSink, len(deps.CellMetrics))
+	for i, c := range deps.CellMetrics {
+		sinks[i] = c
 	}
+	s.net.SetCellSinks(sinks)
+	s.net.SetForeign(s.payloadForeign)
+	s.net.SetGlobalPayload(payloadGlobal)
+	s.net.SetOwner(s.payloadOwner)
+	s.net.SetVenue(s.payloadVenue)
 	s.gossipTimeoutFn = s.onGossipTimeout
 	s.kaTimeoutFn = s.onKaTimeout
 	s.joinLatchFn = s.onJoinLatchExpired
@@ -763,25 +745,11 @@ func (s *System) JoinedCount() int {
 // host exposes internals to white-box tests within the package.
 func (s *System) host(addr simnet.NodeID) *host { return s.hosts[addr] }
 
-// Submit injects one workload query into the system at the current
-// simulated time. Queries from dead clients are silently skipped.
-func (s *System) Submit(wq workload.Query) {
-	origin := s.PoolNode(wq.SiteIdx, wq.Locality, wq.Member)
-	h := s.hosts[origin]
-	if h == nil || !s.net.Alive(origin) {
-		return
-	}
-	if wq.Object.Num < 0 || wq.Object.Num >= s.cfg.ObjectsPerSite {
-		return // outside the fixed object universe: nothing can hold it
-	}
-	s.qid++
-	s.submitQuery(s.qid, origin, h, wq)
-}
-
-// SubmitWithID is Submit under an externally assigned query identifier.
-// The sharded harness derives the ID from the workload stream position,
-// so every cell's pump hands out the exact IDs the classic sequential
-// pump would, regardless of how queries partition across cells.
+// SubmitWithID injects one workload query into the system at the current
+// simulated time under the given identifier. The harness numbers queries
+// by their position in the workload stream, so IDs do not depend on how
+// queries partition across cells. Queries from dead clients are silently
+// skipped.
 func (s *System) SubmitWithID(id uint64, wq workload.Query) {
 	origin := s.PoolNode(wq.SiteIdx, wq.Locality, wq.Member)
 	h := s.hosts[origin]
@@ -789,7 +757,7 @@ func (s *System) SubmitWithID(id uint64, wq workload.Query) {
 		return
 	}
 	if wq.Object.Num < 0 || wq.Object.Num >= s.cfg.ObjectsPerSite {
-		return
+		return // outside the fixed object universe: nothing can hold it
 	}
 	s.submitQuery(id, origin, h, wq)
 }

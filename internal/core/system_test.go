@@ -18,6 +18,9 @@ type testEnv struct {
 	k    *simkernel.Kernel
 	mets *metrics.Collector
 	cfg  Config
+	// nextID numbers queries in submission order, like the harness
+	// numbers stream positions.
+	nextID uint64
 }
 
 func newTestEnv(t testing.TB, seed int64, mod func(*Config)) *testEnv {
@@ -68,8 +71,10 @@ func newTestEnv(t testing.TB, seed int64, mod func(*Config)) *testEnv {
 // submitAt schedules a query from pool member (si, loc, member).
 func (e *testEnv) submitAt(at simkernel.Time, si, loc, member, obj int) {
 	site := e.cfg.Sites[si]
+	e.nextID++
+	id := e.nextID
 	e.k.At(at, func() {
-		e.sys.Submit(workload.Query{
+		e.sys.SubmitWithID(id, workload.Query{
 			At: at, Site: site, SiteIdx: si, Locality: loc, Member: member,
 			Object: model.ObjectID{Site: site, Num: obj},
 		})

@@ -106,13 +106,6 @@ type Params struct {
 	// locality).
 	CellSplit []int
 
-	// EagerBarriers disables barrier elision on the sharded path: every
-	// epoch boundary runs the full single-threaded rendezvous even when it
-	// would provably process zero events. Elision never changes a run's
-	// output, so this is a diagnostic/verification knob (the worker
-	// invariance tests pin elided and eager runs byte-identical).
-	EagerBarriers bool
-
 	// MeasureMemory computes Result.BytesPerClient after the run (a forced
 	// GC plus ReadMemStats). Off by default so timing benchmarks never pay
 	// for the collection.
@@ -416,6 +409,18 @@ func (p Params) Validate() error {
 	if p.ClientsPerSite <= 0 {
 		return fmt.Errorf("harness: clients per site must be positive")
 	}
+	for i, dc := range p.DirCrashes {
+		if !p.validDirPosition(dc.SiteIdx, dc.Locality) {
+			return fmt.Errorf("harness: DirCrashes[%d] names site %d, locality %d outside %d active sites × %d localities",
+				i, dc.SiteIdx, dc.Locality, p.ActiveSites, p.Localities)
+		}
+	}
+	for i, dd := range p.DirDegrades {
+		if !p.validDirPosition(dd.SiteIdx, dd.Locality) {
+			return fmt.Errorf("harness: DirDegrades[%d] names site %d, locality %d outside %d active sites × %d localities",
+				i, dd.SiteIdx, dd.Locality, p.ActiveSites, p.Localities)
+		}
+	}
 	if len(p.CellSplit) > 0 {
 		if p.Shards <= 0 {
 			return fmt.Errorf("harness: CellSplit requires the sharded path (Shards >= 1)")
@@ -432,6 +437,12 @@ func (p Params) Validate() error {
 		}
 	}
 	return nil
+}
+
+// validDirPosition reports whether (active-site index, locality) names a
+// directory position of the scenario.
+func (p Params) validDirPosition(siteIdx, loc int) bool {
+	return siteIdx >= 0 && siteIdx < p.ActiveSites && loc >= 0 && loc < p.Localities
 }
 
 // HotCellSplit derives a load-balanced Params.CellSplit: it grows the

@@ -105,14 +105,6 @@ func (r Result) EventsPerSecond() float64 {
 	return float64(r.Events) / r.WallSeconds
 }
 
-// timedRun drives the kernel for the configured duration, returning the
-// processed-event count and wall-clock seconds.
-func timedRun(k *simkernel.Kernel, d simkernel.Time) (uint64, float64) {
-	start := time.Now()
-	events := k.Run(d)
-	return events, time.Since(start).Seconds()
-}
-
 // auditAccum accumulates the periodic and final invariant-audit passes.
 type auditAccum struct {
 	checks     int
@@ -162,13 +154,11 @@ func applyFaultPlane(k *simkernel.Kernel, sys *core.System, p Params) *auditAccu
 
 // resolveDirDegrades maps Params.DirDegrades onto the nodes currently
 // holding the named directory positions (run start, before any churn).
+// Validate has checked every entry's coordinates.
 func resolveDirDegrades(sys *core.System, p Params) []simnet.DegradeWindow {
 	sites := model.MakeSites(p.Websites)[:p.ActiveSites]
 	var wins []simnet.DegradeWindow
 	for _, dd := range p.DirDegrades {
-		if dd.SiteIdx < 0 || dd.SiteIdx >= len(sites) || dd.Locality < 0 || dd.Locality >= p.Localities {
-			continue
-		}
 		addr, ok := sys.DirectoryAddr(sites[dd.SiteIdx], dd.Locality)
 		if !ok {
 			continue
@@ -223,18 +213,12 @@ func finishFaultPlane(res *Result, sys *core.System, acc *auditAccum) {
 
 // scheduleDirCrashes arms the Params.DirCrashes schedule on the
 // coordination kernel: crashes mutate the ring, so on sharded runs they
-// must land at epoch barriers, exactly like churn.
+// must land at epoch barriers, exactly like churn. Validate has checked
+// every entry's coordinates.
 func scheduleDirCrashes(k *simkernel.Kernel, sys *core.System, p Params) {
-	if len(p.DirCrashes) == 0 {
-		return
-	}
 	sites := model.MakeSites(p.Websites)[:p.ActiveSites]
 	for _, dc := range p.DirCrashes {
-		if dc.SiteIdx < 0 || dc.SiteIdx >= len(sites) || dc.Locality < 0 || dc.Locality >= p.Localities {
-			continue
-		}
-		site := sites[dc.SiteIdx]
-		loc := dc.Locality
+		site, loc := sites[dc.SiteIdx], dc.Locality
 		k.At(dc.At, func() { sys.CrashDirectory(site, loc) })
 	}
 }
@@ -248,63 +232,195 @@ func RunFlower(p Params) (Result, error) {
 // RunFlowerTraced is RunFlower with protocol tracing: up to traceCapacity
 // events are retained in the returned buffer (0 disables tracing).
 func RunFlowerTraced(p Params, traceCapacity int) (Result, *trace.Buffer, error) {
-	if p.Shards > 0 {
-		return runFlowerSharded(p, traceCapacity)
-	}
 	if err := p.Validate(); err != nil {
 		return Result{}, nil, err
 	}
-	pools := p.BuildPools()
-	kernel := simkernel.New(p.Seed)
-	topo, err := topology.Generate(p.TopologyConfig(pools))
+	gen, err := newGenerator(p, p.BuildPools(), sharedInterner(p.Websites, p.ObjectsPerSite))
 	if err != nil {
 		return Result{}, nil, err
 	}
-	mets := metrics.New(metrics.Config{BucketWidth: p.BucketWidth, Horizon: p.Duration})
+	return runFlower(p, gen.AsSource(), traceCapacity)
+}
+
+// RunFlowerReplay runs Flower-CDN against a recorded query trace instead
+// of the synthetic generator (see workload.ParseTrace for the format). The
+// trace's (site, locality, member) coordinates must fit the pools implied
+// by the parameters. Everything else about the run — faults, crashes,
+// churn, auditing, sharding — follows the parameters as in RunFlower.
+func RunFlowerReplay(p Params, queries []workload.Query) (Result, error) {
+	if err := p.Validate(); err != nil {
+		return Result{}, err
+	}
+	pools := p.BuildPools()
+	for i, q := range queries {
+		if q.SiteIdx < 0 || q.SiteIdx >= len(pools) {
+			return Result{}, fmt.Errorf("harness: replay record %d: site %d out of range", i, q.SiteIdx)
+		}
+		if q.Locality < 0 || q.Locality >= p.Localities {
+			return Result{}, fmt.Errorf("harness: replay record %d: locality %d out of range", i, q.Locality)
+		}
+		if q.Member < 0 || q.Member >= pools[q.SiteIdx][q.Locality] {
+			return Result{}, fmt.Errorf("harness: replay record %d: member %d outside pool %d",
+				i, q.Member, pools[q.SiteIdx][q.Locality])
+		}
+		// The interned object space is fixed at ObjectsPerSite; an
+		// out-of-universe object number would alias into another site's
+		// dense refs.
+		if q.Object.Num < 0 || q.Object.Num >= p.ObjectsPerSite {
+			return Result{}, fmt.Errorf("harness: replay record %d: object %d outside universe of %d",
+				i, q.Object.Num, p.ObjectsPerSite)
+		}
+	}
+	replayer, err := workload.NewReplayer(queries)
+	if err != nil {
+		return Result{}, err
+	}
+	res, _, err := runFlower(p, replayer, 0)
+	return res, err
+}
+
+// eagerBarriers turns barrier elision off on the sharded path: every epoch
+// boundary then runs the full rendezvous, even one that would provably
+// process zero events. Elision never changes a run's output; the tests
+// set this to prove it.
+var eagerBarriers bool
+
+// runFlower builds a Flower-CDN system from validated parameters, drives
+// it with the query stream src and packages the result.
+//
+// A classic run (Shards = 0) is the one-cell case: its one cell is the
+// coordination kernel, which Kernel.Run drives. A sharded run gives every
+// cell — one per locality, more under CellSplit — a private kernel,
+// collector, tracer and delivery lane, and the epoch engine advances the
+// cells on Shards worker goroutines, applying all cross-cell work
+// single-threaded at the barriers in (epoch, srcCell, seq) order. The
+// decomposition and every rendezvous are fixed by the scenario, so the
+// result is a pure function of (scenario, seed) at any worker count.
+func runFlower(p Params, src workload.Source, traceCapacity int) (Result, *trace.Buffer, error) {
+	pools := p.BuildPools()
+	global := simkernel.New(p.Seed)
+	tcfg := p.TopologyConfig(pools)
+	topo, err := topology.Generate(tcfg)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	mcfg := metrics.Config{BucketWidth: p.BucketWidth, Horizon: p.Duration}
+	ccfg := p.CoreConfig(pools)
+	cells := []*simkernel.Kernel{global}
+	if p.Shards > 0 {
+		cells = make([]*simkernel.Kernel, ccfg.TotalCells())
+		for i := range cells {
+			cells[i] = simkernel.New(int64(simkernel.Mix64(uint64(p.Seed) + uint64(i) + 1)))
+		}
+	}
+	cellMets := make([]*metrics.Collector, len(cells))
+	var bufs []*trace.Buffer
+	var tracers []trace.Tracer
+	for i := range cells {
+		cellMets[i] = metrics.New(mcfg)
+		if traceCapacity > 0 {
+			bufs = append(bufs, trace.NewBuffer(traceCapacity))
+			tracers = append(tracers, bufs[i])
+		}
+	}
 	// One interner serves both the system and the workload generator, and
 	// is shared across campaign points: the dense object space (and its
 	// precomputed keys and Bloom hash streams) is a pure function of
 	// (websites, objects-per-site) and read-only after construction.
-	in := sharedInterner(p.Websites, p.ObjectsPerSite)
-	deps := core.Deps{Kernel: kernel, Topo: topo, Metrics: mets, Interner: in}
-	var buf *trace.Buffer
-	if traceCapacity > 0 {
-		buf = trace.NewBuffer(traceCapacity)
-		deps.Tracer = buf
+	deps := core.Deps{Kernel: global, Topo: topo, Interner: sharedInterner(p.Websites, p.ObjectsPerSite)}
+	if p.Shards > 0 {
+		deps.Cells, deps.CellMetrics, deps.CellTracers = cells, cellMets, tracers
+	} else {
+		deps.Metrics = cellMets[0]
+		if tracers != nil {
+			deps.Tracer = tracers[0]
+		}
 	}
-	sys, err := core.New(p.CoreConfig(pools), deps)
+	sys, err := core.New(ccfg, deps)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	gen, err := newGenerator(p, pools, in)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	acc := applyFaultPlane(kernel, sys, p)
-	scheduleDirCrashes(kernel, sys, p)
-	pumpQueries(kernel, p.Duration, gen.AsSource(), sys.Submit)
+	net := sys.Network()
+	// The fault plane draws on per-cell streams during parallel phases and
+	// the coordination stream at barriers, so it is worker-invariant. The
+	// auditor, the crash schedule and churn all live on the coordination
+	// kernel: on sharded runs they execute at epoch barriers, workers
+	// parked, since they read or rewire state across cells.
+	acc := applyFaultPlane(global, sys, p)
+	scheduleDirCrashes(global, sys, p)
+	dealQueries(src, p.Duration, cells, func(q workload.Query) int {
+		return net.CellOf(sys.PoolNode(q.SiteIdx, q.Locality, q.Member))
+	}, sys.SubmitWithID)
 	if p.ChurnPerHour > 0 {
-		injectChurn(kernel, p, func(rng *rand.Rand) {
+		injectChurn(global, p, func(rng *rand.Rand) {
 			failed := failRandomFlowerPeer(sys, p, rng)
 			if failed >= 0 && p.ChurnMeanDowntime > 0 {
 				down := simkernel.Time(rng.ExpFloat64() * float64(p.ChurnMeanDowntime))
-				kernel.After(down, func() { sys.RevivePeer(failed) })
+				global.After(down, func() { sys.RevivePeer(failed) })
 			}
 		})
 	}
-	events, wall := timedRun(kernel, p.Duration)
+	var drive interface {
+		Run(until simkernel.Time) uint64
+	} = global
+	var eng *simkernel.Engine
+	if p.Shards > 0 {
+		// The epoch width is the topology's latency floor: no message can
+		// cross cells faster, so every cross-cell arrival imported at a
+		// barrier lands strictly after it.
+		width := max(simkernel.Time(tcfg.MinLatencyMs*float64(simkernel.Millisecond)), simkernel.Millisecond)
+		eng = simkernel.NewEngine(cells, width, p.Shards,
+			net.ExitBarrier,
+			func(boundary simkernel.Time) uint64 {
+				net.EnterBarrier()
+				n := global.Run(boundary)
+				net.ImportMail()
+				return n
+			},
+			global.NextEvent)
+		if !eagerBarriers {
+			// Elide boundaries where the barrier would provably process
+			// zero events (no buffered mail, no coordination event due):
+			// same output, far fewer single-threaded rendezvous.
+			eng.EnableBarrierElision(func() bool { return net.MailPending() > 0 })
+		}
+		drive = eng
+	}
+	start := time.Now()
+	events := drive.Run(p.Duration)
 	res := Result{
 		Kind:        KindFlower,
-		Report:      mets.Snapshot(p.Duration),
-		Stats:       sys.Stats(),
 		Params:      p,
 		Events:      events,
-		WallSeconds: wall,
+		WallSeconds: time.Since(start).Seconds(),
 	}
+	if eng != nil {
+		// An elided final boundary leaves the network in parallel mode;
+		// the post-run accounting below is single-threaded.
+		net.EnterBarrier()
+		res.ShardEvents = append([]uint64(nil), eng.CellEvents()...)
+		res.BarrierEvents = eng.BarrierEvents()
+		res.Epochs = eng.Epochs()
+		res.BarriersRun = eng.BarriersRun()
+		res.WorkerStallNs = append([]int64(nil), eng.WorkerStallNs()...)
+	}
+	// Cell 0's collector absorbs the others; a one-cell run has none.
+	for _, cm := range cellMets[1:] {
+		cellMets[0].MergeFrom(cm, p.Duration)
+	}
+	res.Report = cellMets[0].Snapshot(p.Duration)
+	res.Stats = sys.Stats()
 	finishFaultPlane(&res, sys, acc)
 	if p.MeasureMemory {
 		res.BytesPerClient = bytesPerClientOf(pools)
-		runtime.KeepAlive(sys) // keep the measured state reachable during GC
+		// The system (and through it the cells, lanes and directories) must
+		// stay reachable while the heap is measured, or the forced GC
+		// collects the very state being weighed.
+		runtime.KeepAlive(sys)
+	}
+	var buf *trace.Buffer
+	if traceCapacity > 0 {
+		buf = trace.MergeBuffers(traceCapacity, bufs...)
 	}
 	return res, buf, nil
 }
@@ -330,19 +446,22 @@ func RunSquirrel(p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	pumpQueries(kernel, p.Duration, gen.AsSource(), sys.Submit)
+	dealQueries(gen.AsSource(), p.Duration, []*simkernel.Kernel{kernel},
+		func(workload.Query) int { return 0 },
+		func(_ uint64, q workload.Query) { sys.Submit(q) })
 	if p.ChurnPerHour > 0 {
 		injectChurn(kernel, p, func(rng *rand.Rand) {
 			failRandomSquirrelPeer(sys, p, pools, rng)
 		})
 	}
-	events, wall := timedRun(kernel, p.Duration)
+	start := time.Now()
+	events := kernel.Run(p.Duration)
 	return Result{
 		Kind:        KindSquirrel,
 		Report:      mets.Snapshot(p.Duration),
 		Params:      p,
 		Events:      events,
-		WallSeconds: wall,
+		WallSeconds: time.Since(start).Seconds(),
 	}, nil
 }
 
@@ -376,78 +495,104 @@ func newGenerator(p Params, pools [][]int, in *model.Interner) (*workload.Genera
 	})
 }
 
-// pumpQueries lazily schedules the query stream: each fired query
-// schedules the next, so the event queue never holds the whole day.
-func pumpQueries(k *simkernel.Kernel, until simkernel.Time, src workload.Source, submit func(workload.Query)) {
-	var schedule func()
-	schedule = func() {
-		q, ok := src.Next()
-		if !ok || q.At > until {
-			return
-		}
-		k.At(q.At, func() {
-			submit(q)
-			schedule()
-		})
+// dealQueries reads src once and deals each query, numbered by its
+// position in the stream, to the queue of the cell its origin lives in
+// (cellOf). Every cell pumps its own queue on its own kernel — firing a
+// query schedules the cell's next one — so the event queues never hold
+// the whole day. The stream ends at its first query past until.
+func dealQueries(src workload.Source, until simkernel.Time, cells []*simkernel.Kernel,
+	cellOf func(workload.Query) int, submit func(id uint64, q workload.Query)) {
+	d := &dealer{src: src, until: until, cells: cells, cellOf: cellOf, submit: submit,
+		queues: make([]queryQueue, len(cells))}
+	d.fireFn = d.fire
+	for c := range cells {
+		d.scheduleNext(c)
 	}
-	schedule()
 }
 
-// RunFlowerReplay runs Flower-CDN against a recorded query trace instead
-// of the synthetic generator (see workload.ParseTrace for the format). The
-// trace's (site, locality, member) coordinates must fit the pools implied
-// by the parameters.
-func RunFlowerReplay(p Params, queries []workload.Query) (Result, error) {
-	if err := p.Validate(); err != nil {
-		return Result{}, err
-	}
-	pools := p.BuildPools()
-	for i, q := range queries {
-		if q.SiteIdx < 0 || q.SiteIdx >= len(pools) {
-			return Result{}, fmt.Errorf("harness: replay record %d: site %d out of range", i, q.SiteIdx)
+// dealer is the state behind dealQueries. The cells of a sharded run pump
+// concurrently and whichever cell reads the stream deals for all, so mu
+// guards the stream and the queues; a cell's queue still holds its
+// queries in stream order, whoever dealt them. mu is held across
+// src.Next and cellOf because the stream is what it guards; neither
+// calls back into the dealer.
+type dealer struct {
+	mu     sync.Mutex
+	src    workload.Source
+	until  simkernel.Time
+	read   uint64 // stream position of the last query read
+	done   bool   // the stream is exhausted or past until
+	queues []queryQueue
+	cells  []*simkernel.Kernel
+	cellOf func(workload.Query) int
+	submit func(id uint64, q workload.Query)
+	fireFn func(uint64) // d.fire, bound once: scheduling builds no closure
+}
+
+type dealtQuery struct {
+	id uint64
+	q  workload.Query
+}
+
+// scheduleNext deals from the stream until cell c has a query queued, and
+// schedules that query on c's kernel.
+func (d *dealer) scheduleNext(c int) {
+	d.mu.Lock()
+	for d.queues[c].empty() && !d.done {
+		q, ok := d.src.Next()
+		if !ok || q.At > d.until {
+			d.done = true
+			break
 		}
-		if q.Locality < 0 || q.Locality >= p.Localities {
-			return Result{}, fmt.Errorf("harness: replay record %d: locality %d out of range", i, q.Locality)
-		}
-		if q.Member < 0 || q.Member >= pools[q.SiteIdx][q.Locality] {
-			return Result{}, fmt.Errorf("harness: replay record %d: member %d outside pool %d",
-				i, q.Member, pools[q.SiteIdx][q.Locality])
-		}
-		// The interned object space is fixed at ObjectsPerSite; an
-		// out-of-universe object number would alias into another site's
-		// dense refs.
-		if q.Object.Num < 0 || q.Object.Num >= p.ObjectsPerSite {
-			return Result{}, fmt.Errorf("harness: replay record %d: object %d outside universe of %d",
-				i, q.Object.Num, p.ObjectsPerSite)
-		}
+		d.read++
+		d.queues[d.cellOf(q)].push(dealtQuery{id: d.read, q: q})
 	}
-	replayer, err := workload.NewReplayer(queries)
-	if err != nil {
-		return Result{}, err
+	queued := !d.queues[c].empty()
+	var at simkernel.Time
+	if queued {
+		at = d.queues[c].items[d.queues[c].head].q.At
 	}
-	kernel := simkernel.New(p.Seed)
-	topo, err := topology.Generate(p.TopologyConfig(pools))
-	if err != nil {
-		return Result{}, err
+	d.mu.Unlock()
+	if queued {
+		d.cells[c].AtArg(at, d.fireFn, uint64(c))
 	}
-	mets := metrics.New(metrics.Config{BucketWidth: p.BucketWidth, Horizon: p.Duration})
-	sys, err := core.New(p.CoreConfig(pools), core.Deps{
-		Kernel: kernel, Topo: topo, Metrics: mets,
-		Interner: sharedInterner(p.Websites, p.ObjectsPerSite),
-	})
-	if err != nil {
-		return Result{}, err
+}
+
+// fire submits the head of cell arg's queue and schedules the cell's next
+// query.
+func (d *dealer) fire(arg uint64) {
+	c := int(arg)
+	d.mu.Lock()
+	next := d.queues[c].pop()
+	d.mu.Unlock()
+	d.submit(next.id, next.q)
+	d.scheduleNext(c)
+}
+
+// queryQueue is a FIFO that reuses its buffer: it rewinds when drained,
+// and compacts instead of growing while a consumed prefix is still held.
+type queryQueue struct {
+	items []dealtQuery
+	head  int
+}
+
+func (qq *queryQueue) empty() bool { return qq.head == len(qq.items) }
+
+func (qq *queryQueue) push(d dealtQuery) {
+	if qq.head > 0 && len(qq.items) == cap(qq.items) {
+		n := copy(qq.items, qq.items[qq.head:])
+		qq.items, qq.head = qq.items[:n], 0
 	}
-	pumpQueries(kernel, p.Duration, replayer, sys.Submit)
-	events, wall := timedRun(kernel, p.Duration)
-	return Result{
-		Kind:        KindFlower,
-		Report:      mets.Snapshot(p.Duration),
-		Stats:       sys.Stats(),
-		Params:      p,
-		Events:      events,
-		WallSeconds: wall,
-	}, nil
+	qq.items = append(qq.items, d)
+}
+
+func (qq *queryQueue) pop() dealtQuery {
+	d := qq.items[qq.head]
+	qq.head++
+	if qq.empty() {
+		qq.items, qq.head = qq.items[:0], 0
+	}
+	return d
 }
 
 // injectChurn schedules peer failures as a Poisson process with rate
@@ -531,4 +676,23 @@ func TrafficBytes(r metrics.Report, cat simnet.Category) int64 {
 // Describe renders a one-line result summary.
 func (r Result) Describe() string {
 	return fmt.Sprintf("%s: %s", r.Kind, r.Report.String())
+}
+
+// bytesPerClientOf reports the post-run heap footprint per potential
+// client. It forces a collection first, so it is only computed when
+// Params.MeasureMemory asks for it — never on benchmark paths.
+func bytesPerClientOf(pools [][]int) float64 {
+	total := 0
+	for _, row := range pools {
+		for _, n := range row {
+			total += n
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc) / float64(total)
 }

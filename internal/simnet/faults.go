@@ -377,11 +377,9 @@ func (n *Network) InstallFaults(cfg *FaultConfig) {
 	n.faults = cfg
 	n.fplan = compileFaults(cfg, n.topo.Localities(), n.topo.NumNodes())
 	n.faultRNG = n.kernel.DeriveRNG("simnet-faults")
-	if n.cells != nil {
-		n.cellFaultRNG = make([]*rand.Rand, len(n.cells))
-		for i, k := range n.cells {
-			n.cellFaultRNG[i] = k.DeriveRNGAt("simnet-faults", i)
-		}
+	n.cellFaultRNG = make([]*rand.Rand, len(n.cells))
+	for i, k := range n.cells {
+		n.cellFaultRNG[i] = k.DeriveRNGAt("simnet-faults", i)
 	}
 }
 
@@ -392,7 +390,7 @@ func (n *Network) Faults() *FaultConfig { return n.faults }
 // partition), across all lanes. Distinct from Dropped, which counts losses
 // to dead or handler-less endpoints. Same concurrency caveat as Sent.
 func (n *Network) FaultDropped() uint64 {
-	total := n.faultDropped
+	var total uint64
 	for _, l := range n.lanes {
 		total += l.faultDropped
 	}

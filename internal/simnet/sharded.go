@@ -1,14 +1,15 @@
-// Locality-sharded network: the same message-passing model as Network,
-// but over a fleet of per-cell kernels plus one serial coordination
-// kernel, for the epoch-barrier engine in simkernel.
+// Cells: a network runs over a fleet of per-cell kernels plus one serial
+// coordination kernel, for the epoch-barrier engine in simkernel. A
+// classic run is the one-cell case: its only cell is the coordination
+// kernel, so every send takes the serial path below and lands on the one
+// lane.
 //
 // Delivery venue rules keep the parallel phases race-free:
 //
 //   - a message between two nodes of the same cell whose payload is not
-//     foreign to that cell rides the cell's private lane — the identical
-//     slab + free-list + bound-callback fast path as the classic network,
-//     scheduled on the cell's own kernel (zero allocations in steady
-//     state);
+//     foreign to that cell rides the cell's private lane — a slab +
+//     free-list + bound-callback fast path scheduled on the cell's own
+//     kernel (zero allocations in steady state);
 //   - a payload the protocol *claims* for an owner cell (SetVenue: the
 //     reply legs of a query whose handler only touches the query origin's
 //     state) is delivered on that owner cell's lane even when the
@@ -36,19 +37,23 @@
 package simnet
 
 import (
+	"math/rand"
+
 	"flowercdn/internal/simkernel"
 	"flowercdn/internal/topology"
 )
 
-// lane is one cell's private delivery machinery: the same pooled-slab
-// design as the classic Network, bound to the cell's kernel. The
-// coordination kernel gets a lane of its own for barrier-time deliveries.
+// lane is one cell's private delivery machinery — a pooled slab of
+// in-flight messages bound to the cell's kernel — plus the cell's traffic
+// sink and counters. The coordination kernel gets a lane of its own for
+// barrier-time deliveries.
 type lane struct {
 	net     *Network
 	kernel  *simkernel.Kernel
-	pending []Message
-	free    []uint32
-	deliver func(uint64)
+	sink    TrafficSink
+	pending []Message    // slab of in-flight messages, indexed by delivery events
+	free    []uint32     // reusable slab indices
+	deliver func(uint64) // the one delivery callback, bound once in newLane
 
 	sent         uint64
 	dropped      uint64
@@ -76,10 +81,14 @@ func (l *lane) post(at simkernel.Time, m Message) {
 	l.kernel.AtArg(at, l.deliver, uint64(idx))
 }
 
+// deliverPending fires when a slab record's latency elapses: it releases
+// the slot (so re-entrant Sends from the handler can reuse it) and hands
+// the message to the receiver, unless the receiver died or unregistered
+// while the message was in flight.
 func (l *lane) deliverPending(arg uint64) {
 	idx := uint32(arg)
 	msg := l.pending[idx]
-	l.pending[idx].Payload = nil
+	l.pending[idx].Payload = nil // drop the reference; slab cells outlive messages
 	l.free = append(l.free, idx)
 	n := l.net
 	if !n.alive[msg.To] || n.handlers[msg.To] == nil {
@@ -151,26 +160,28 @@ func NewSharded(global *simkernel.Kernel, cells []*simkernel.Kernel, topo *topol
 // decisions remain locality-keyed). len(cells) must cover every value in
 // cellOf.
 func NewShardedMapped(global *simkernel.Kernel, cells []*simkernel.Kernel, topo *topology.Topology, cellOf []int32) *Network {
-	n := New(global, topo)
-	n.cells = cells
-	n.cellOf = cellOf
-	n.lanes = make([]*lane, len(cells))
+	n := &Network{
+		kernel:    global,
+		topo:      topo,
+		handlers:  make([]Handler, topo.NumNodes()),
+		alive:     make([]bool, topo.NumNodes()),
+		cells:     cells,
+		cellOf:    cellOf,
+		lanes:     make([]*lane, len(cells)),
+		mail:      NewMailbox(len(cells)),
+		inBarrier: true,
+	}
+	for i := range n.alive {
+		n.alive[i] = true
+	}
 	for i, k := range cells {
 		n.lanes[i] = newLane(n, k)
 	}
 	n.globalLane = newLane(n, global)
-	n.mail = NewMailbox(len(cells))
-	n.inBarrier = true
 	return n
 }
 
-// Sharded reports whether this network runs over per-cell kernels.
-func (n *Network) Sharded() bool { return n.lanes != nil }
-
-// NumCells returns the number of cells (0 for a classic network).
-func (n *Network) NumCells() int { return len(n.lanes) }
-
-// CellOf returns the cell index of a node. Only valid on sharded networks.
+// CellOf returns the cell index of a node.
 func (n *Network) CellOf(id NodeID) int { return int(n.cellOf[id]) }
 
 // SetForeign installs the protocol's payload classifier: it reports
@@ -205,9 +216,12 @@ func (n *Network) SetVenue(fn func(payload any, to NodeID) (int, bool)) { n.venu
 func (n *Network) MailPending() int { return n.mail.Pending() }
 
 // SetCellSinks installs one traffic sink per cell; message accounting goes
-// to the sender's cell so parallel phases never share a sink. Overrides
-// any SetSink for sharded sends.
-func (n *Network) SetCellSinks(sinks []TrafficSink) { n.cellSinks = sinks }
+// to the executing cell so parallel phases never share a sink.
+func (n *Network) SetCellSinks(sinks []TrafficSink) {
+	for i, s := range sinks {
+		n.lanes[i].sink = s
+	}
+}
 
 // EnterBarrier switches the network into single-threaded barrier mode:
 // sends schedule directly into destination kernels (all workers are
@@ -234,100 +248,56 @@ func (n *Network) venueGlobal(srcCell, dstCell int, payload any) bool {
 	return n.foreignFn != nil && n.foreignFn(payload, dstCell)
 }
 
-// sendSharded is Send for sharded networks; see the package comment for
-// the venue rules.
-func (n *Network) sendSharded(from, to NodeID, cat Category, bytes int, payload any) {
-	src := int(n.cellOf[from])
-	dst := int(n.cellOf[to])
-	if n.inBarrier {
-		// Single-threaded: attribute to the sender's cell, draw faults from
-		// the coordination stream, deliver directly. Owner-claimed payloads
-		// still ride the owner cell's lane — arrival is strictly after the
-		// next boundary (the epoch width never exceeds the minimum latency),
-		// so the cell is parked when the event lands.
-		if !n.alive[from] {
-			n.lanes[src].dropped++
-			return
-		}
-		now := n.kernel.Now()
-		if n.cellSinks != nil {
-			if s := n.cellSinks[src]; s != nil {
-				s.RecordMessage(now, from, to, cat, bytes)
-			}
-		}
-		n.lanes[src].sent++
-		m := Message{From: from, To: to, Payload: payload, Bytes: bytes, Category: cat, SentAt: now}
-		lat := n.topo.Latency(from, to)
-		if n.faults != nil {
-			drop, extra := n.fplan.decide(n.faultRNG, from, n.topo.LocalityOf(from), n.topo.LocalityOf(to), lat, now)
-			if drop {
-				n.lanes[src].faultDropped++
-				return
-			}
-			m.Delay = extra
-		}
-		at := now + lat + m.Delay
-		if n.venueFn != nil {
-			if vc, ok := n.venueFn(payload, to); ok {
-				n.lanes[vc].post(at, m)
-				return
-			}
-		}
-		if n.venueGlobal(src, dst, payload) {
-			n.globalLane.post(at, m)
-		} else {
-			n.lanes[dst].post(at, m)
-		}
-		return
-	}
-	// Parallel phase: exec is the cell whose goroutine is running this
-	// send — the sender's home cell, unless the payload is owner-claimed
-	// (the handler issuing it executes on the query origin's cell). Every
-	// effect keys on exec; anything else would cross goroutines.
-	exec := src
-	if n.ownerFn != nil {
-		if oc, ok := n.ownerFn(payload); ok {
-			exec = oc
-		}
-	}
-	if !n.alive[from] {
-		n.lanes[exec].dropped++
-		return
-	}
-	now := n.cells[exec].Now()
-	if n.cellSinks != nil {
-		if s := n.cellSinks[exec]; s != nil {
-			s.RecordMessage(now, from, to, cat, bytes)
-		}
-	}
-	n.lanes[exec].sent++
-	m := Message{From: from, To: to, Payload: payload, Bytes: bytes, Category: cat, SentAt: now}
-	lat := n.topo.Latency(from, to)
-	if n.faults != nil {
-		// Each cell consumes its private decision stream in its own
-		// deterministic event order, identically at any worker count.
-		drop, extra := n.fplan.decide(n.cellFaultRNG[exec], from, n.topo.LocalityOf(from), n.topo.LocalityOf(to), lat, now)
-		if drop {
-			n.lanes[exec].faultDropped++
-			return
-		}
-		m.Delay = extra
+// serialLane picks the lane a barrier-context send delivers on.
+// Owner-claimed payloads ride the owner cell's lane — arrival is strictly
+// after the next boundary (the epoch width never exceeds the minimum
+// latency), so the cell is parked when the event lands. A one-cell
+// network has a single lane to choose.
+func (n *Network) serialLane(src, dst int, to NodeID, payload any) *lane {
+	if len(n.lanes) == 1 {
+		return n.lanes[0]
 	}
 	if n.venueFn != nil {
 		if vc, ok := n.venueFn(payload, to); ok {
+			return n.lanes[vc]
+		}
+	}
+	if n.venueGlobal(src, dst, payload) {
+		return n.globalLane
+	}
+	return n.lanes[dst]
+}
+
+// postParallel delivers a parallel-phase send made on cell exec: on a
+// cell lane when the venue rules keep it on exec's own goroutine, through
+// the mailbox otherwise.
+func (n *Network) postParallel(exec, src, dst int, at simkernel.Time, m Message) {
+	if n.venueFn != nil {
+		if vc, ok := n.venueFn(m.Payload, m.To); ok {
 			// Owner-claimed delivery executes on the owner cell — which is
 			// exactly the cell running this send, so the post stays on this
 			// goroutine's kernel.
-			n.lanes[vc].post(now+lat+m.Delay, m)
+			n.lanes[vc].post(at, m)
 			return
 		}
 	}
-	if !n.venueGlobal(src, dst, payload) && exec == dst {
+	if !n.venueGlobal(src, dst, m.Payload) && exec == dst {
 		// src == dst == exec: the intra-cell zero-alloc fast path.
-		n.lanes[exec].post(now+lat+m.Delay, m)
+		n.lanes[exec].post(at, m)
 		return
 	}
 	n.mail.Post(exec, m)
+}
+
+// faultStream is the fault-decision RNG for a send executing on cell
+// exec: the coordination stream serially, the cell's own stream in a
+// parallel phase. Each cell consumes its stream in its own deterministic
+// event order, so decisions are identical at any worker count.
+func (n *Network) faultStream(exec int) *rand.Rand {
+	if n.inBarrier {
+		return n.faultRNG
+	}
+	return n.cellFaultRNG[exec]
 }
 
 // ImportMail drains the cross-cell mailbox into the coordination kernel at

@@ -97,49 +97,44 @@ type TrafficSink interface {
 	RecordMessage(at simkernel.Time, from, to NodeID, cat Category, bytes int)
 }
 
-// Network binds nodes, topology and the kernel together.
+// Network binds nodes, topology and the kernels together. Every network
+// is a set of cells: New builds the one-cell network of a classic run,
+// NewSharded one cell per locality for the epoch engine (see sharded.go).
+// Each cell delivers through its own lane, and the coordination kernel
+// has a lane of its own for barrier-time deliveries.
 //
-// Delivery is pooled: in-flight messages live in a reusable slab of Message
-// records, and every delivery event is the same long-lived callback bound
-// once at construction, parameterised by the slab index through the
-// kernel's AtArg path. Send therefore performs zero heap allocations in
-// steady state (the slab and its free list stop growing once they cover
-// the peak number of in-flight messages), provided the payload itself is
-// pointer-shaped or pre-boxed — see TestHotPathAllocs.
+// Delivery is pooled: in-flight messages live in a lane's reusable slab
+// of Message records, and every delivery event is the same long-lived
+// callback bound once at construction, parameterised by the slab index
+// through the kernel's AtArg path. Send therefore performs zero heap
+// allocations in steady state (the slab and its free list stop growing
+// once they cover the peak number of in-flight messages), provided the
+// payload itself is pointer-shaped or pre-boxed — see TestHotPathAllocs.
 type Network struct {
 	kernel   *simkernel.Kernel
 	topo     *topology.Topology
 	handlers []Handler
 	alive    []bool
-	sink     TrafficSink
-
-	pending []Message    // slab of in-flight messages, indexed by delivery events
-	free    []uint32     // reusable slab indices
-	deliver func(uint64) // the one delivery callback, bound once in New
-
-	sent    uint64
-	dropped uint64
 
 	// Fault plane (see faults.go); nil when disabled, so the healthy send
 	// path pays one pointer check. fplan is the compiled schedule index
-	// built at install; faultRNG drives decisions for classic and
-	// barrier-context sends; cellFaultRNG[i] drives cell i's parallel
-	// sends (each consumed only on its owning kernel's goroutine).
+	// built at install; faultRNG drives decisions for serial (barrier-
+	// context) sends; cellFaultRNG[i] drives cell i's parallel sends (each
+	// consumed only on its owning kernel's goroutine).
 	faults       *FaultConfig
 	fplan        *faultPlan
 	faultRNG     *rand.Rand
 	cellFaultRNG []*rand.Rand
-	faultDropped uint64
 
-	// Sharded-mode state (see sharded.go); nil on a classic network. When
-	// lanes is non-nil, kernel is the serial coordination kernel and every
-	// node's events run on cells[cellOf[node]] between epoch barriers.
+	// Cell state (see sharded.go). kernel is the serial coordination
+	// kernel and every node's events run on cells[cellOf[node]]; on a
+	// one-cell network cells[0] is kernel itself and the network never
+	// leaves barrier mode.
 	cells      []*simkernel.Kernel
 	cellOf     []int32
 	lanes      []*lane
 	globalLane *lane
 	mail       *Mailbox
-	cellSinks  []TrafficSink
 	foreignFn  func(payload any, dstCell int) bool
 	globalFn   func(payload any) bool
 	ownerFn    func(payload any) (int, bool)
@@ -147,30 +142,26 @@ type Network struct {
 	inBarrier  bool
 }
 
-// New creates a network over topo driven by kernel. All nodes start alive
-// with no handler (messages to handler-less nodes are dropped and counted).
+// New creates the one-cell network of a classic run over topo, driven by
+// kernel. All nodes start alive with no handler (messages to handler-less
+// nodes are dropped and counted).
 func New(kernel *simkernel.Kernel, topo *topology.Topology) *Network {
-	n := &Network{
-		kernel:   kernel,
-		topo:     topo,
-		handlers: make([]Handler, topo.NumNodes()),
-		alive:    make([]bool, topo.NumNodes()),
-	}
-	for i := range n.alive {
-		n.alive[i] = true
-	}
-	n.deliver = n.deliverPending // one method-value allocation for the network's lifetime
-	return n
+	return NewShardedMapped(kernel, []*simkernel.Kernel{kernel}, topo, make([]int32, topo.NumNodes()))
 }
 
-// Kernel returns the driving event kernel.
+// Kernel returns the driving (coordination) event kernel.
 func (n *Network) Kernel() *simkernel.Kernel { return n.kernel }
 
 // Topology returns the latency model.
 func (n *Network) Topology() *topology.Topology { return n.topo }
 
-// SetSink installs the traffic accounting sink (may be nil).
-func (n *Network) SetSink(s TrafficSink) { n.sink = s }
+// SetSink installs one traffic accounting sink (may be nil) for every
+// cell.
+func (n *Network) SetSink(s TrafficSink) {
+	for _, l := range n.lanes {
+		l.sink = s
+	}
+}
 
 // Register installs the message handler for a node, replacing any previous
 // handler.
@@ -195,69 +186,63 @@ func (n *Network) Latency(a, b NodeID) simkernel.Time { return n.topo.Latency(a,
 
 // Send transmits a message. If the sender is dead nothing happens. The
 // message is accounted at send time and delivered after the link latency,
-// unless the receiver is dead or handler-less at delivery time.
+// unless the receiver is dead or handler-less at delivery time. See
+// sharded.go for the venue rules that pick the delivering lane.
 func (n *Network) Send(from, to NodeID, cat Category, bytes int, payload any) {
-	if n.lanes != nil {
-		n.sendSharded(from, to, cat, bytes, payload)
-		return
+	src := int(n.cellOf[from])
+	dst := int(n.cellOf[to])
+	// exec is the cell whose context runs this send, and every effect
+	// (clock, sink, counters, fault stream) keys on it. Serially that is
+	// the sender's cell. In a parallel phase it is the sender's cell too,
+	// unless the payload is owner-claimed: the handler issuing it then
+	// executes on the query origin's cell, and anything else would cross
+	// goroutines.
+	exec := src
+	var now simkernel.Time
+	if n.inBarrier {
+		now = n.kernel.Now()
+	} else {
+		if n.ownerFn != nil {
+			if oc, ok := n.ownerFn(payload); ok {
+				exec = oc
+			}
+		}
+		now = n.cells[exec].Now()
 	}
+	l := n.lanes[exec]
 	if !n.alive[from] {
-		n.dropped++
+		l.dropped++
 		return
 	}
-	now := n.kernel.Now()
-	if n.sink != nil {
-		n.sink.RecordMessage(now, from, to, cat, bytes)
+	if l.sink != nil {
+		l.sink.RecordMessage(now, from, to, cat, bytes)
 	}
-	n.sent++
+	l.sent++
+	m := Message{From: from, To: to, Payload: payload, Bytes: bytes, Category: cat, SentAt: now}
 	lat := n.topo.Latency(from, to)
 	if n.faults != nil {
 		// Accounting stays above: the bytes crossed the sender's link even
 		// when the network loses them, matching the dead-receiver semantics.
-		drop, extra := n.fplan.decide(n.faultRNG, from, n.topo.LocalityOf(from), n.topo.LocalityOf(to), lat, now)
+		drop, extra := n.fplan.decide(n.faultStream(exec), from, n.topo.LocalityOf(from), n.topo.LocalityOf(to), lat, now)
 		if drop {
-			n.faultDropped++
+			l.faultDropped++
 			return
 		}
-		lat += extra
+		m.Delay = extra
 	}
-	var idx uint32
-	if m := len(n.free); m > 0 {
-		idx = n.free[m-1]
-		n.free = n.free[:m-1]
-	} else {
-		n.pending = append(n.pending, Message{})
-		idx = uint32(len(n.pending) - 1)
-	}
-	n.pending[idx] = Message{
-		From: from, To: to,
-		Payload: payload, Bytes: bytes, Category: cat,
-		SentAt: now,
-	}
-	n.kernel.AfterArg(lat, n.deliver, uint64(idx))
-}
-
-// deliverPending fires when a slab record's latency elapses: it releases
-// the slot (so re-entrant Sends from the handler can reuse it) and hands
-// the message to the receiver, unless the receiver died or unregistered
-// while the message was in flight.
-func (n *Network) deliverPending(arg uint64) {
-	idx := uint32(arg)
-	msg := n.pending[idx]
-	n.pending[idx].Payload = nil // drop the reference; slab cells outlive messages
-	n.free = append(n.free, idx)
-	if !n.alive[msg.To] || n.handlers[msg.To] == nil {
-		n.dropped++
+	at := now + lat + m.Delay
+	if n.inBarrier {
+		n.serialLane(src, dst, to, payload).post(at, m)
 		return
 	}
-	n.handlers[msg.To].HandleMessage(msg)
+	n.postParallel(exec, src, dst, at, m)
 }
 
 // Sent reports the number of messages accepted for transmission. On a
 // sharded network, call only while parked (construction, barrier, or
 // after the run).
 func (n *Network) Sent() uint64 {
-	total := n.sent
+	var total uint64
 	for _, l := range n.lanes {
 		total += l.sent
 	}
@@ -267,12 +252,9 @@ func (n *Network) Sent() uint64 {
 // Dropped reports the number of messages lost to dead or handler-less
 // endpoints. Same concurrency caveat as Sent.
 func (n *Network) Dropped() uint64 {
-	total := n.dropped
+	total := n.globalLane.dropped
 	for _, l := range n.lanes {
 		total += l.dropped
-	}
-	if n.globalLane != nil {
-		total += n.globalLane.dropped
 	}
 	return total
 }

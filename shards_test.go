@@ -43,8 +43,6 @@ func TestShardedWorkerInvariance(t *testing.T) {
 	splitLossy.CellSplit = HotCellSplit(splitLossy, 7)
 	splitLossy.Faults = &FaultConfig{LossProb: 0.05, JitterProb: 0.2, JitterMaxMs: 90}
 	splitLossy.MaintenancePeriod = 30 * Second
-	eager := ShrunkMassiveParams(14)
-	eager.EagerBarriers = true
 	// Gray storm with the adaptive plane armed: degrade factors, asymmetric
 	// loss and flap gating must all be worker-invariant, and so must every
 	// adaptive decision (estimator updates, hedge timing, breaker trips) —
@@ -69,7 +67,6 @@ func TestShardedWorkerInvariance(t *testing.T) {
 		{"flower dircrash seed=11", DirCrashStormParams(11), [2]int{}},
 		{"flower hot-cell-split seed=12", split, [2]int{1, 8}},
 		{"flower hot-cell-split lossy seed=13", splitLossy, [2]int{1, 7}},
-		{"flower eager-barriers seed=14", eager, [2]int{}},
 		{"flower gray-storm adaptive seed=15", gray, [2]int{}},
 	}
 	for _, sc := range scenarios {
@@ -114,73 +111,6 @@ func TestShardedWorkerInvariance(t *testing.T) {
 				}
 			}
 			t.Fatalf("worker counts diverged in length: %d vs %d lines", len(ol), len(fl))
-		})
-	}
-}
-
-// TestBarrierElisionEquivalence pins the elision contract at protocol
-// scale: the golden fault-storm and dircrash-storm scenarios, run sharded
-// with elision (the default) and with EagerBarriers, must produce
-// byte-identical transcripts — a skipped barrier would have processed zero
-// events, so only BarriersRun may differ, and the elided run must actually
-// have skipped some boundaries.
-func TestBarrierElisionEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two storm scenarios twice")
-	}
-	storm := FaultStormParams(21)
-	storm.Shards = 2
-	crash := DirCrashStormParams(22)
-	crash.Shards = 2
-	scenarios := []struct {
-		name string
-		p    Params
-	}{
-		{"fault-storm", storm},
-		{"dircrash-storm", crash},
-	}
-	for _, sc := range scenarios {
-		sc := sc
-		t.Run(sc.name, func(t *testing.T) {
-			render := func(eager bool) (string, Result) {
-				p := sc.p
-				p.EagerBarriers = eager
-				res, buf, err := RunFlowerTraced(p, 300)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var sb strings.Builder
-				formatReport(&sb, sc.name, res.Report)
-				formatStats(&sb, res)
-				formatFaultSummary(&sb, res)
-				formatStandbySummary(&sb, res)
-				fmt.Fprintf(&sb, "shard_events=%v barrier_events=%d epochs=%d\n",
-					res.ShardEvents, res.BarrierEvents, res.Epochs)
-				sb.WriteString("trace:\n")
-				sb.WriteString(FormatTrace(buf.Events()))
-				return sb.String(), res
-			}
-			elided, eres := render(false)
-			eager, gres := render(true)
-			if elided != eager {
-				el, gl := strings.Split(elided, "\n"), strings.Split(eager, "\n")
-				n := len(el)
-				if len(gl) < n {
-					n = len(gl)
-				}
-				for i := 0; i < n; i++ {
-					if el[i] != gl[i] {
-						t.Fatalf("elided vs eager diverged at line %d:\nelided: %s\n eager: %s", i+1, el[i], gl[i])
-					}
-				}
-				t.Fatalf("elided vs eager diverged in length: %d vs %d lines", len(el), len(gl))
-			}
-			if gres.BarriersRun != gres.Epochs {
-				t.Fatalf("eager run elided barriers: %d run over %d epochs", gres.BarriersRun, gres.Epochs)
-			}
-			if eres.BarriersRun >= eres.Epochs {
-				t.Fatalf("elision skipped nothing: %d run over %d epochs", eres.BarriersRun, eres.Epochs)
-			}
 		})
 	}
 }
