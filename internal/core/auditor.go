@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flowercdn/internal/model"
-	"flowercdn/internal/simkernel"
 	"flowercdn/internal/simnet"
 )
 
@@ -114,8 +113,8 @@ func (s *System) Audit() AuditReport {
 				fail("timers: dead host %d has an armed failure-detection timer", addr)
 			}
 			r.Checks++
-			if tickerRunning(s.hs.gossipTicker[a]) || tickerRunning(s.hs.kaTicker[a]) ||
-				tickerRunning(s.hs.dirTicker[a]) || tickerRunning(s.hs.replTicker[a]) {
+			if s.hs.gossipTicker[a].Active() || s.hs.kaTicker[a].Active() ||
+				s.hs.dirTicker[a].Active() || s.hs.replTicker[a].Active() {
 				fail("timers: dead host %d has a running ticker", addr)
 			}
 			continue
@@ -130,14 +129,10 @@ func (s *System) Audit() AuditReport {
 		}
 		if h.cp != nil {
 			r.Checks++
-			if !tickerRunning(s.hs.gossipTicker[a]) || !tickerRunning(s.hs.kaTicker[a]) {
+			if !s.hs.gossipTicker[a].Active() || !s.hs.kaTicker[a].Active() {
 				fail("timers: content peer %d is missing its gossip/keepalive ticker", addr)
 			}
 		}
 	}
 	return r
-}
-
-func tickerRunning(t *simkernel.Ticker) bool {
-	return t != nil && !t.Stopped()
 }

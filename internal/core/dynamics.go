@@ -63,7 +63,8 @@ func (s *System) RevivePeer(addr simnet.NodeID) bool {
 	s.hs.admitPending[addr] = nil
 	s.hs.clearFlag(addr, hfJoinInFlight)
 	s.hs.joinAttempts[addr] = 0
-	s.hs.gossipTicker[addr], s.hs.kaTicker[addr] = nil, nil
+	s.hs.gossipTicker[addr] = simkernel.TimerHandle{}
+	s.hs.kaTicker[addr] = simkernel.TimerHandle{}
 	s.hs.gossipTimeout[addr] = simkernel.TimerHandle{}
 	s.hs.kaTimeout[addr] = simkernel.TimerHandle{}
 	s.hs.joinTimer[addr] = simkernel.TimerHandle{}
@@ -84,14 +85,10 @@ func (s *System) RevivePeer(addr simnet.NodeID) bool {
 // roles): the watchdog and maintenance loops must leave nothing in the
 // event queue, exactly like hostSoA.stopTimers for the core tickers.
 func (s *System) stopStandbyTimers(h *host) {
-	if h.standbyTicker != nil {
-		h.standbyTicker.Stop()
-		h.standbyTicker = nil
-	}
-	if h.probeTicker != nil {
-		h.probeTicker.Stop()
-		h.probeTicker = nil
-	}
+	h.standbyTicker.Cancel()
+	h.standbyTicker = simkernel.TimerHandle{}
+	h.probeTicker.Cancel()
+	h.probeTicker = simkernel.TimerHandle{}
 	h.probeTimeout.Cancel()
 	h.probeToken++
 }
@@ -248,17 +245,17 @@ func (s *System) installDirectory(h *host, node *chord.Node, site model.SiteID, 
 	s.dirByKey[key] = h.addr
 	s.dirAddrs = append(s.dirAddrs, h.addr)
 	offset := simkernel.Time(s.prand(h.addr).Int63n(int64(s.cfg.TGossip)))
-	s.hs.dirTicker[h.addr] = s.hostKernel(h.addr).Every(offset, s.cfg.TGossip, func() { s.dirTick(h) })
+	s.hs.dirTicker[h.addr] = s.hostKernel(h.addr).EveryArg(offset, s.cfg.TGossip, s.dirTickFn, uint64(h.addr))
 	s.startReplicationTicker(h)
 	if s.cfg.StandbyFailover {
 		// A host promoted into a directory stops being anyone's standby.
 		s.stopStandbyWatch(h)
 		s.startStandbyTicker(h)
 	}
-	if s.cfg.MaintenancePeriod > 0 && s.hs.stabTicker[h.addr] == nil {
+	if s.cfg.MaintenancePeriod > 0 && !s.hs.stabTicker[h.addr].Active() {
 		// Stabilization mutates the shared ring: coordination kernel only.
 		mo := simkernel.Time(s.prand(h.addr).Int63n(int64(s.cfg.MaintenancePeriod)))
-		s.hs.stabTicker[h.addr] = s.k.Every(mo, s.cfg.MaintenancePeriod, func() { s.maintainNode(h) })
+		s.hs.stabTicker[h.addr] = s.k.EveryArg(mo, s.cfg.MaintenancePeriod, s.stabTickFn, uint64(h.addr))
 	}
 }
 
@@ -356,14 +353,8 @@ func (s *System) ChangeLocality(addr simnet.NodeID, newLoc int) bool {
 	if h.cp != nil {
 		s.hs.stash[addr] = h.cp.Objects()
 		h.cp = nil
-		if t := s.hs.gossipTicker[addr]; t != nil {
-			t.Stop()
-			s.hs.gossipTicker[addr] = nil
-		}
-		if t := s.hs.kaTicker[addr]; t != nil {
-			t.Stop()
-			s.hs.kaTicker[addr] = nil
-		}
+		s.hs.gossipTicker[addr].Cancel()
+		s.hs.kaTicker[addr].Cancel()
 		s.hs.gossipTimeout[addr].Cancel()
 		s.hs.kaTimeout[addr].Cancel()
 		// Still an accounted participant; it rejoins on its next query.

@@ -55,12 +55,14 @@ type hostSoA struct {
 	// revival resets it.
 	joinAttempts []uint8
 
-	// Tickers (periodic behaviours), armed per role.
-	dirTicker    []*simkernel.Ticker
-	gossipTicker []*simkernel.Ticker
-	kaTicker     []*simkernel.Ticker
-	stabTicker   []*simkernel.Ticker
-	replTicker   []*simkernel.Ticker
+	// Periodic behaviours, armed per role: kernel-owned periodic timers
+	// (EveryArg with a callback bound once on System, the host address as
+	// argument), so a behaviour costs one arena slot and nothing else.
+	dirTicker    []simkernel.TimerHandle
+	gossipTicker []simkernel.TimerHandle
+	kaTicker     []simkernel.TimerHandle
+	stabTicker   []simkernel.TimerHandle
+	replTicker   []simkernel.TimerHandle
 
 	// Pre-boxed keepalive payloads: boxing a keepaliveMsg value into the
 	// network's `any` payload heap-allocates, so each host boxes its two
@@ -110,11 +112,11 @@ func newHostSoA(n int) hostSoA {
 		kaTimeout:     make([]simkernel.TimerHandle, n),
 		joinTimer:     make([]simkernel.TimerHandle, n),
 		joinAttempts:  make([]uint8, n),
-		dirTicker:     make([]*simkernel.Ticker, n),
-		gossipTicker:  make([]*simkernel.Ticker, n),
-		kaTicker:      make([]*simkernel.Ticker, n),
-		stabTicker:    make([]*simkernel.Ticker, n),
-		replTicker:    make([]*simkernel.Ticker, n),
+		dirTicker:     make([]simkernel.TimerHandle, n),
+		gossipTicker:  make([]simkernel.TimerHandle, n),
+		kaTicker:      make([]simkernel.TimerHandle, n),
+		stabTicker:    make([]simkernel.TimerHandle, n),
+		replTicker:    make([]simkernel.TimerHandle, n),
 		kaPayload:     make([]any, n),
 		kaAckPayload:  make([]any, n),
 		stash:         make([][]model.ObjectRef, n),
@@ -180,13 +182,11 @@ func (hs *hostSoA) overlayLocality(a simnet.NodeID) int {
 // a host (on failure/leave), so a dead host leaves nothing in the event
 // queue.
 func (hs *hostSoA) stopTimers(a simnet.NodeID) {
-	for _, t := range [...]*simkernel.Ticker{
-		hs.dirTicker[a], hs.gossipTicker[a], hs.kaTicker[a], hs.stabTicker[a], hs.replTicker[a],
-	} {
-		if t != nil {
-			t.Stop()
-		}
-	}
+	hs.dirTicker[a].Cancel()
+	hs.gossipTicker[a].Cancel()
+	hs.kaTicker[a].Cancel()
+	hs.stabTicker[a].Cancel()
+	hs.replTicker[a].Cancel()
 	hs.gossipTimeout[a].Cancel()
 	hs.kaTimeout[a].Cancel()
 	hs.joinTimer[a].Cancel()

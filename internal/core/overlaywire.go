@@ -24,9 +24,9 @@ func overlayPush(from simnet.NodeID, added []model.ObjectRef) overlay.PushMsg {
 func (s *System) startContentPeerTickers(h *host) {
 	k := s.hostKernel(h.addr)
 	gOffset := simkernel.Time(s.prand(h.addr).Int63n(int64(s.cfg.TGossip)))
-	s.hs.gossipTicker[h.addr] = k.Every(gOffset, s.cfg.TGossip, func() { s.gossipTick(h) })
+	s.hs.gossipTicker[h.addr] = k.EveryArg(gOffset, s.cfg.TGossip, s.gossipTickFn, uint64(h.addr))
 	kOffset := simkernel.Time(s.prand(h.addr).Int63n(int64(s.cfg.TKeepalive)))
-	s.hs.kaTicker[h.addr] = k.Every(kOffset, s.cfg.TKeepalive, func() { s.keepaliveTick(h) })
+	s.hs.kaTicker[h.addr] = k.EveryArg(kOffset, s.cfg.TKeepalive, s.kaTickFn, uint64(h.addr))
 }
 
 // gossipTick is the active behaviour of Algorithm 4. In steady state it

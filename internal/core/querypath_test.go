@@ -5,6 +5,7 @@ import (
 
 	"flowercdn/internal/model"
 	"flowercdn/internal/simkernel"
+	"flowercdn/internal/simnet"
 )
 
 // queryPathEnv builds a populated small system and returns the pieces the
@@ -52,7 +53,8 @@ func queryPathOnce(s *System, member, dir *host, ref model.ObjectRef) int {
 	if member.cp.Has(ref) {
 		n++
 	}
-	n += len(member.cp.View().MatchingSummaries(h1, h2))
+	var matches [64]simnet.NodeID
+	n += len(member.cp.View().MatchingSummariesAppend(h1, h2, matches[:0]))
 	n += len(dir.dir.Holders(ref))
 	n += len(dir.dir.NeighborsWithObject(ref))
 	if member.cp.Summary().TestHash(h1, h2) {

@@ -20,11 +20,11 @@ import (
 // startReplicationTicker arms the periodic offer behaviour on a directory
 // host (called from system construction and directory installation).
 func (s *System) startReplicationTicker(h *host) {
-	if s.cfg.ReplicationTopK <= 0 || s.hs.replTicker[h.addr] != nil {
+	if s.cfg.ReplicationTopK <= 0 || s.hs.replTicker[h.addr].Active() {
 		return
 	}
 	offset := simkernel.Time(s.prand(h.addr).Int63n(int64(s.cfg.ReplicationPeriod)))
-	s.hs.replTicker[h.addr] = s.hostKernel(h.addr).Every(offset, s.cfg.ReplicationPeriod, func() { s.replicationTick(h) })
+	s.hs.replTicker[h.addr] = s.hostKernel(h.addr).EveryArg(offset, s.cfg.ReplicationPeriod, s.replTickFn, uint64(h.addr))
 }
 
 // replicationTick runs at a directory: offer the top-K requested objects

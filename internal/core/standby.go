@@ -27,11 +27,11 @@ import (
 // on a directory host. Offsets are randomised like every other periodic
 // behaviour so directories do not synchronise.
 func (s *System) startStandbyTicker(h *host) {
-	if !s.cfg.StandbyFailover || h.standbyTicker != nil {
+	if !s.cfg.StandbyFailover || h.standbyTicker.Active() {
 		return
 	}
 	offset := simkernel.Time(s.prand(h.addr).Int63n(int64(s.cfg.StandbySyncEvery)))
-	h.standbyTicker = s.hostKernel(h.addr).Every(offset, s.cfg.StandbySyncEvery, func() { s.standbyMaintTick(h) })
+	h.standbyTicker = s.hostKernel(h.addr).EveryArg(offset, s.cfg.StandbySyncEvery, s.standbyMaintFn, uint64(h.addr))
 }
 
 // standbyMaintTick is the directory-side loop: validate or (re)designate
@@ -144,10 +144,8 @@ func (s *System) handleStandbyRevoke(h *host, m standbyRevokeMsg) {
 // stopStandbyWatch clears all standby-side state: watchdog, replica and
 // designation memory.
 func (s *System) stopStandbyWatch(h *host) {
-	if h.probeTicker != nil {
-		h.probeTicker.Stop()
-		h.probeTicker = nil
-	}
+	h.probeTicker.Cancel()
+	h.probeTicker = simkernel.TimerHandle{}
 	h.probeTimeout.Cancel()
 	h.probeTimeout = simkernel.TimerHandle{}
 	h.probeToken++
@@ -160,11 +158,11 @@ func (s *System) stopStandbyWatch(h *host) {
 
 // startStandbyProbes arms the standby→primary liveness watchdog.
 func (s *System) startStandbyProbes(h *host) {
-	if h.probeTicker != nil {
+	if h.probeTicker.Active() {
 		return
 	}
 	offset := simkernel.Time(s.prand(h.addr).Int63n(int64(s.cfg.StandbyProbe)))
-	h.probeTicker = s.hostKernel(h.addr).Every(offset, s.cfg.StandbyProbe, func() { s.standbyProbeTick(h) })
+	h.probeTicker = s.hostKernel(h.addr).EveryArg(offset, s.cfg.StandbyProbe, s.standbyProbeFn, uint64(h.addr))
 }
 
 // standbyProbeTick sends one liveness probe and arms its deadline. A

@@ -91,6 +91,12 @@ type System struct {
 	joinLatchFn     func(uint64)
 	joinRetryFn     func(uint64)
 
+	// The same for the periodic behaviours, armed with EveryArg and the
+	// host address as argument: one function value per System instead of
+	// a closure per host and behaviour.
+	gossipTickFn, kaTickFn, dirTickFn, replTickFn, stabTickFn func(uint64)
+	standbyMaintFn, standbyProbeFn                            func(uint64)
+
 	// Partition-recovery accounting (nil unless InstallFaults saw partition
 	// windows): healAt[loc] is when locality loc's last partition window
 	// ends (-1 = never partitioned), recovery[loc] the smallest observed
@@ -367,6 +373,13 @@ func New(cfg Config, deps Deps) (*System, error) {
 	s.kaTimeoutFn = s.onKaTimeout
 	s.joinLatchFn = s.onJoinLatchExpired
 	s.joinRetryFn = s.onJoinRetry
+	s.gossipTickFn = func(a uint64) { s.gossipTick(s.hosts[a]) }
+	s.kaTickFn = func(a uint64) { s.keepaliveTick(s.hosts[a]) }
+	s.dirTickFn = func(a uint64) { s.dirTick(s.hosts[a]) }
+	s.replTickFn = func(a uint64) { s.replicationTick(s.hosts[a]) }
+	s.stabTickFn = func(a uint64) { s.maintainNode(s.hosts[a]) }
+	s.standbyMaintFn = func(a uint64) { s.standbyMaintTick(s.hosts[a]) }
+	s.standbyProbeFn = func(a uint64) { s.standbyProbeTick(s.hosts[a]) }
 	if cfg.ShedBudget > 0 {
 		s.shedInFlight = make([]int32, cfg.Localities)
 	}
@@ -516,7 +529,7 @@ func (s *System) startDirectoryTickers() {
 	for _, addr := range s.dirAddrs {
 		h := s.hosts[addr]
 		offset := simkernel.Time(s.prand(addr).Int63n(int64(s.cfg.TGossip)))
-		s.hs.dirTicker[addr] = s.hostKernel(addr).Every(offset, s.cfg.TGossip, func() { s.dirTick(h) })
+		s.hs.dirTicker[addr] = s.hostKernel(addr).EveryArg(offset, s.cfg.TGossip, s.dirTickFn, uint64(addr))
 		s.startReplicationTicker(h)
 		s.startStandbyTicker(h)
 	}
@@ -528,9 +541,8 @@ func (s *System) startDirectoryTickers() {
 // kernel: sharded runs stabilize at epoch barriers.
 func (s *System) startMaintenance(period simkernel.Time) {
 	for _, addr := range s.dirAddrs {
-		h := s.hosts[addr]
 		offset := simkernel.Time(s.prand(addr).Int63n(int64(period)))
-		s.hs.stabTicker[addr] = s.k.Every(offset, period, func() { s.maintainNode(h) })
+		s.hs.stabTicker[addr] = s.k.EveryArg(offset, period, s.stabTickFn, uint64(addr))
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // BenchmarkGossipRound drives the per-round view operations of Algorithm 4
 // — age, select a subset, merge the partner's subset — on two steady-state
 // views. After warm-up the only allocation left is the subset slice that
-// escapes into the outgoing message; Merge and the Fisher–Yates index
-// buffer reuse the views' scratch storage.
+// escapes into the outgoing message; Merge works in the view's own array
+// and the Fisher–Yates index buffer is reused.
 func BenchmarkGossipRound(b *testing.B) {
 	const viewSize, gossipLen = 24, 10
 	a := NewView(1, viewSize)
@@ -32,7 +32,8 @@ func BenchmarkGossipRound(b *testing.B) {
 	}
 }
 
-// Merge on its own must allocate nothing once the scratch buffers exist.
+// Merge on its own must allocate nothing once the view's array has room
+// for a batch.
 func TestMergeAllocFree(t *testing.T) {
 	v := NewView(0, 24)
 	for i := 1; i <= 24; i++ {
@@ -42,9 +43,50 @@ func TestMergeAllocFree(t *testing.T) {
 	for i := range in {
 		in[i] = Entry{Node: simnet.NodeID(20 + i), Age: i % 3}
 	}
-	v.Merge(in) // warm both scratch buffers
+	v.Merge(in) // grow the entries array to capacity + batch once
 	v.Merge(in)
 	if avg := testing.AllocsPerRun(100, func() { v.Merge(in) }); avg != 0 {
 		t.Fatalf("Merge allocates %.1f/op in steady state, want 0", avg)
+	}
+}
+
+// TestViewFootprint pins the view's memory bound: the entries array grows
+// only when a batch does not fit, to exactly the length it needs, so its
+// capacity never exceeds V_gossip plus the largest batch merged, and a
+// steady stream of gossip merges allocates nothing.
+func TestViewFootprint(t *testing.T) {
+	const capacity, maxBatch = 24, 11
+	v := NewView(0, capacity)
+	first := make([]Entry, 8)
+	for i := range first {
+		first[i] = Entry{Node: simnet.NodeID(100 + i)}
+	}
+	v.Merge(first)
+	if c := cap(v.entries); c != len(first) {
+		t.Fatalf("first merge grew the array to cap %d, want exactly %d", c, len(first))
+	}
+	rng := rand.New(rand.NewSource(3))
+	batches := make([][]Entry, 64)
+	for i := range batches {
+		b := make([]Entry, 1+rng.Intn(maxBatch))
+		for j := range b {
+			b[j] = Entry{Node: simnet.NodeID(1 + rng.Intn(200)), Age: rng.Intn(9)}
+		}
+		batches[i] = b
+	}
+	for _, b := range batches { // warm-up: the view fills to capacity
+		v.IncrementAges()
+		v.Merge(b)
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(500, func() {
+		v.IncrementAges()
+		v.MergeWith(batches[i%len(batches)][:len(batches[i%len(batches)])-1], Entry{Node: 7})
+		i++
+	}); avg != 0 {
+		t.Fatalf("steady-state merge allocates %.2f/op, want 0", avg)
+	}
+	if c := cap(v.entries); c > capacity+maxBatch {
+		t.Fatalf("entries cap %d exceeds capacity %d + largest batch %d", c, capacity, maxBatch)
 	}
 }

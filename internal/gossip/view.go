@@ -42,19 +42,18 @@ func (e Entry) WireBytes() int {
 // View is a bounded set of entries about distinct peers, owned by one peer
 // (the owner never appears in its own view).
 //
-// The view keeps two pieces of reusable scratch storage so the per-round
-// operations (Merge each exchange, SelectSubset each send) stop allocating
-// once their buffers reach steady-state capacity: a spare entry slice that
-// Merge builds into and then swaps with the live one, and an index buffer
-// for SelectSubset's partial shuffle.
+// The view owns one entries array and works on it in place, so a peer's
+// gossip state is that array and nothing else: Merge appends a batch into
+// the array's spare room, deduplicates, sorts and truncates back to
+// capacity. The array grows only when a batch does not fit, and then to
+// exactly the length the batch needs, so its capacity never exceeds
+// V_gossip plus the largest batch merged. The per-call buffers of the
+// other operations live on the caller's stack or in caller-supplied
+// slices, never in the view.
 type View struct {
 	owner    simnet.NodeID
 	capacity int
 	entries  []Entry // kept sorted by (Age, Node) — "most recent" first
-
-	scratch []Entry         // Merge's build buffer, swapped with entries each call
-	idx     []int32         // SelectSubset's reusable index buffer
-	match   []simnet.NodeID // MatchingSummaries' reusable result buffer
 }
 
 // NewView creates an empty view with the given capacity (V_gossip).
@@ -151,9 +150,14 @@ func (v *View) SelectSubset(rng *rand.Rand, l int) []Entry {
 	return v.SelectSubsetAppend(rng, l, nil)
 }
 
+// stackIdx bounds the views whose SelectSubset index buffer lives on the
+// stack. V_gossip is 8–70 in every preset; a larger view pays one
+// allocation per selection.
+const stackIdx = 128
+
 // SelectSubsetAppend appends up to l random distinct entries to dst and
 // returns the extended slice (allocation-free once dst has capacity).
-// Selection is a partial Fisher–Yates over a reusable index buffer — l
+// Selection is a partial Fisher–Yates over a stack index buffer — l
 // draws from rng instead of rng.Perm's n fresh ints — and draws exactly
 // the same rng sequence as SelectSubset for any given view.
 func (v *View) SelectSubsetAppend(rng *rand.Rand, l int, dst []Entry) []Entry {
@@ -175,10 +179,12 @@ func (v *View) SelectSubsetAppend(rng *rand.Rand, l int, dst []Entry) []Entry {
 	if l >= n {
 		return append(dst, v.entries...)
 	}
-	if cap(v.idx) < n {
-		v.idx = make([]int32, n)
+	var buf [stackIdx]int32
+	idx := buf[:]
+	if n > len(buf) {
+		idx = make([]int32, n)
 	}
-	idx := v.idx[:n]
+	idx = idx[:n]
 	for i := range idx {
 		idx[i] = int32(i)
 	}
@@ -207,7 +213,7 @@ func (v *View) SelectSubsetAppend(rng *rand.Rand, l int, dst []Entry) []Entry {
 // Insert adds or refreshes a single entry, keeping the freshest instance,
 // then truncates to capacity (a one-entry Merge).
 func (v *View) Insert(e Entry) {
-	v.Merge([]Entry{e})
+	v.MergeWith(nil, e)
 }
 
 // Merge implements merge() + select_recent() from Algorithm 4: combine the
@@ -215,57 +221,80 @@ func (v *View) Insert(e Entry) {
 // smallest age (refreshing the summary from the fresher instance), drop the
 // owner, and keep the capacity most-recent entries.
 //
-// The combined set is built in the view's scratch slice and swapped with
-// the live one, and duplicates are found by linear scan — views are tens
-// of entries, where the scan beats a throwaway map and, unlike the map,
-// allocates nothing in steady state.
+// The combined set is built in place in the view's own array, and
+// duplicates are found by linear scan — views are tens of entries, where
+// the scan beats a throwaway map and, unlike the map, allocates nothing in
+// steady state.
 func (v *View) Merge(received []Entry) {
-	s := v.scratch[:0]
-	// The live entries are already deduped and owner-free (invariant).
-	s = append(s, v.entries...)
+	v.reserve(len(received))
 	for _, e := range received {
-		if e.Node == v.owner {
+		v.absorb(e)
+	}
+	v.selectRecent()
+}
+
+// MergeWith is Merge of received followed by one more entry — in gossip,
+// the received view subset plus a fresh entry for its sender — without
+// the caller first copying both into one batch.
+func (v *View) MergeWith(received []Entry, extra Entry) {
+	v.reserve(len(received) + 1)
+	for _, e := range received {
+		v.absorb(e)
+	}
+	v.absorb(extra)
+	v.selectRecent()
+}
+
+// reserve makes room for n more entries, growing the array to exactly the
+// length needed when the spare room is short.
+func (v *View) reserve(n int) {
+	if cap(v.entries)-len(v.entries) >= n {
+		return
+	}
+	grown := make([]Entry, len(v.entries), len(v.entries)+n)
+	copy(grown, v.entries)
+	v.entries = grown
+}
+
+// absorb adds e to the entries, or refreshes the entry already held for
+// its node. The entries are deduped and owner-free (invariant), and so is
+// every earlier entry of the same batch.
+func (v *View) absorb(e Entry) {
+	if e.Node == v.owner {
+		return
+	}
+	for i := range v.entries {
+		cur := &v.entries[i]
+		if cur.Node != e.Node {
 			continue
 		}
-		found := false
-		for i := range s {
-			if s[i].Node != e.Node {
-				continue
+		if e.Age < cur.Age {
+			// Never lose a known summary to a fresher entry that lacks one.
+			if e.Summary == nil && cur.Summary != nil {
+				e.Summary = cur.Summary
 			}
-			found = true
-			if e.Age < s[i].Age {
-				// Never lose a known summary to a fresher entry that lacks one.
-				if e.Summary == nil && s[i].Summary != nil {
-					e.Summary = s[i].Summary
-				}
-				s[i] = e
-			} else if s[i].Summary == nil && e.Summary != nil {
-				s[i].Summary = e.Summary
-			}
-			break
+			*cur = e
+		} else if cur.Summary == nil && e.Summary != nil {
+			cur.Summary = e.Summary
 		}
-		if !found {
-			s = append(s, e)
-		}
+		return
 	}
-	sortByAgeNode(s)
-	if len(s) > v.capacity {
-		// Clear the tail so truncated entries do not pin their summaries.
-		for i := v.capacity; i < len(s); i++ {
-			s[i] = Entry{}
-		}
-		s = s[:v.capacity]
+	v.entries = append(v.entries, e)
+}
+
+// selectRecent sorts the entries and keeps the capacity most recent.
+func (v *View) selectRecent() {
+	sortByAgeNode(v.entries)
+	if len(v.entries) > v.capacity {
+		v.truncate(v.capacity)
 	}
-	// Swap: s (built in the old scratch array) becomes the live slice and
-	// the retired entries array becomes next call's scratch. Its contents
-	// were copied into s, so clear them — stale Entry values would pin
-	// their bloom-filter summaries until overwritten.
-	prev := v.entries
-	v.entries = s
-	for i := range prev {
-		prev[i] = Entry{}
-	}
-	v.scratch = prev[:0]
+}
+
+// truncate shortens the entries to n and clears the vacated slots, so the
+// spare room never pins the summaries of entries that left the view.
+func (v *View) truncate(n int) {
+	clear(v.entries[n:])
+	v.entries = v.entries[:n]
 }
 
 // Remove deletes the entry for node (dead peer, per §5.1/§5.4).
@@ -276,7 +305,7 @@ func (v *View) Remove(node simnet.NodeID) {
 			out = append(out, e)
 		}
 	}
-	v.entries = out
+	v.truncate(len(out))
 }
 
 // DropOlderThan evicts entries whose age reached the limit (T_dead); it
@@ -291,7 +320,7 @@ func (v *View) DropOlderThan(ageLimit int) []simnet.NodeID {
 		}
 		out = append(out, e)
 	}
-	v.entries = out
+	v.truncate(len(out))
 	return evicted
 }
 
@@ -311,19 +340,16 @@ func (v *View) Refresh(node simnet.NodeID, summary *bloom.Filter) {
 	v.Insert(Entry{Node: node, Age: 0, Summary: summary})
 }
 
-// MatchingSummaries returns the nodes whose summary tests positive for
-// the key with precomputed hash pair (h1, h2) — see bloom.HashKey —
-// freshest entries first: the candidate set for a content-overlay lookup
-// (§4.1). The probes do zero hashing and the returned slice is the view's
-// reusable scratch buffer: it is valid until the next call and must not
-// be retained (copy it to keep it).
-func (v *View) MatchingSummaries(h1, h2 uint64) []simnet.NodeID {
-	out := v.match[:0]
+// MatchingSummariesAppend appends to dst the nodes whose summary tests
+// positive for the key with precomputed hash pair (h1, h2) — see
+// bloom.HashKey — freshest entries first: the candidate set for a
+// content-overlay lookup (§4.1). The probes do zero hashing, and the call
+// allocates nothing once dst has room (a caller's stack array will do).
+func (v *View) MatchingSummariesAppend(h1, h2 uint64, dst []simnet.NodeID) []simnet.NodeID {
 	for _, e := range v.entries {
 		if e.Summary != nil && e.Summary.TestHash(h1, h2) {
-			out = append(out, e.Node)
+			dst = append(dst, e.Node)
 		}
 	}
-	v.match = out
-	return out
+	return dst
 }

@@ -205,22 +205,21 @@ func TestMatchingSummaries(t *testing.T) {
 	v.Insert(Entry{Node: 2, Age: 1, Summary: mk("b")})
 	v.Insert(Entry{Node: 3, Age: 2, Summary: nil})
 	h1, h2 := bloom.HashKey("b")
-	got := v.MatchingSummaries(h1, h2)
+	got := v.MatchingSummariesAppend(h1, h2, nil)
 	if len(got) != 2 {
 		t.Fatalf("matches = %v, want two", got)
 	}
 	if got[0] != 1 {
 		t.Fatalf("freshest match should come first, got %v", got)
 	}
-	// The returned slice is scratch: copy before the next call.
-	first := append([]simnet.NodeID(nil), got...)
 	z1, z2 := bloom.HashKey("zzz")
-	if len(v.MatchingSummaries(z1, z2)) != 0 {
+	if len(v.MatchingSummariesAppend(z1, z2, nil)) != 0 {
 		t.Log("false positive (acceptable for a bloom filter)")
 	}
-	again := v.MatchingSummaries(h1, h2)
-	if len(again) != len(first) || again[0] != first[0] {
-		t.Fatalf("scratch reuse changed results: %v vs %v", again, first)
+	// Appends after what dst already holds, without touching it.
+	again := v.MatchingSummariesAppend(h1, h2, []simnet.NodeID{99})
+	if len(again) != 3 || again[0] != 99 || again[1] != got[0] || again[2] != got[1] {
+		t.Fatalf("append after prefix = %v, want [99 %v...]", again, got)
 	}
 }
 
@@ -285,6 +284,70 @@ func TestQuickSortedOutput(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Every slot a view vacates — by Remove, by DropOlderThan, or by Merge
+// truncating to capacity — must be zeroed: the array's spare room would
+// otherwise keep the departed entries' summary snapshots reachable.
+func TestVacatedSlotsCleared(t *testing.T) {
+	sum := bloom.NewForCapacity(5)
+	withSum := func(node, age int) Entry { return Entry{Node: simnet.NodeID(node), Age: age, Summary: sum} }
+	tailZero := func(t *testing.T, v *View, op string) {
+		t.Helper()
+		for i, e := range v.entries[len(v.entries):cap(v.entries)] {
+			if e != (Entry{}) {
+				t.Fatalf("after %s: slot %d past len %d holds %+v", op, len(v.entries)+i, len(v.entries), e)
+			}
+		}
+	}
+	v := NewView(0, 6)
+	v.Merge([]Entry{withSum(1, 0), withSum(2, 5), withSum(3, 9), withSum(4, 2), withSum(5, 7)})
+	v.Remove(2)
+	tailZero(t, v, "Remove")
+	if evicted := v.DropOlderThan(7); len(evicted) != 2 {
+		t.Fatalf("evicted = %v, want 2 entries", evicted)
+	}
+	tailZero(t, v, "DropOlderThan")
+	batch := make([]Entry, 8)
+	for i := range batch {
+		batch[i] = withSum(10+i, i)
+	}
+	v.Merge(batch) // 2 live + 8 received > capacity 6
+	if v.Len() != 6 {
+		t.Fatalf("len = %d, want capacity 6", v.Len())
+	}
+	tailZero(t, v, "over-capacity Merge")
+}
+
+// MergeWith(received, extra) is Merge of received with extra appended.
+func TestQuickMergeWithMatchesMerge(t *testing.T) {
+	prop := func(seed int64, n, capRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := int(capRaw%12) + 1
+		a, b := NewView(0, capacity), NewView(0, capacity)
+		for round := 0; round < 6; round++ {
+			batch := make([]Entry, int(n%9))
+			for i := range batch {
+				batch[i] = entry(rng.Intn(20), rng.Intn(6))
+			}
+			extra := entry(rng.Intn(20), rng.Intn(6))
+			a.MergeWith(batch, extra)
+			b.Merge(append(batch, extra))
+			ea, eb := a.Entries(), b.Entries()
+			if len(ea) != len(eb) {
+				return false
+			}
+			for i := range ea {
+				if ea[i] != eb[i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -405,8 +405,8 @@ func runFlower(p Params, src workload.Source, traceCapacity int) (Result, *trace
 		res.WorkerStallNs = append([]int64(nil), eng.WorkerStallNs()...)
 	}
 	// Cell 0's collector absorbs the others; a one-cell run has none.
-	for _, cm := range cellMets[1:] {
-		cellMets[0].MergeFrom(cm, p.Duration)
+	if len(cellMets) > 1 {
+		cellMets[0].MergeFrom(p.Duration, cellMets[1:]...)
 	}
 	res.Report = cellMets[0].Snapshot(p.Duration)
 	res.Stats = sys.Stats()

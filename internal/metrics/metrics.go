@@ -283,15 +283,41 @@ func (c *Collector) RecordQuery(at simkernel.Time, src Source, lookupMs, distMs 
 	}
 }
 
-// MergeFrom folds another collector into c: both are first advanced to
-// end (so peer-time integration covers the full run), then every
-// aggregate, histogram, sample series and time-series bucket is summed.
-// The collectors must share the same Config shape. Percentiles stay exact
+// MergeFrom folds other collectors into c: all are first advanced to end
+// (so peer-time integration covers the full run), then every aggregate,
+// histogram, sample series and time-series bucket is summed. The
+// collectors must share the same Config shape. Percentiles stay exact
 // because Snapshot sorts a copy of the merged samples, so the append
-// order across merged collectors does not matter. Used by the sharded
-// harness to combine per-cell collectors after a run; single-threaded.
-func (c *Collector) MergeFrom(o *Collector, end simkernel.Time) {
+// order across merged collectors does not matter. c's sample series grow
+// once, to the merged length, and each source gives its own up: a source
+// holds no samples afterwards and must not be snapshotted, so a system
+// that keeps its collectors reachable does not keep every sample twice.
+// Used by the sharded harness to combine per-cell collectors after a run;
+// single-threaded.
+func (c *Collector) MergeFrom(end simkernel.Time, others ...*Collector) {
 	c.advancePeerTime(end)
+	nLookup, nDist := len(c.lookupSamples), len(c.distSamples)
+	for _, o := range others {
+		nLookup += len(o.lookupSamples)
+		nDist += len(o.distSamples)
+	}
+	c.lookupSamples = growTo(c.lookupSamples, nLookup)
+	c.distSamples = growTo(c.distSamples, nDist)
+	for _, o := range others {
+		c.absorb(o, end)
+	}
+}
+
+// growTo returns s with capacity exactly n (when short), contents kept.
+func growTo(s []float64, n int) []float64 {
+	if cap(s) >= n {
+		return s
+	}
+	return append(make([]float64, 0, n), s...)
+}
+
+// absorb folds one source into c for MergeFrom.
+func (c *Collector) absorb(o *Collector, end simkernel.Time) {
 	o.advancePeerTime(end)
 	c.totalQueries += o.totalQueries
 	c.hits += o.hits
@@ -313,6 +339,7 @@ func (c *Collector) MergeFrom(o *Collector, end simkernel.Time) {
 	}
 	c.lookupSamples = append(c.lookupSamples, o.lookupSamples...)
 	c.distSamples = append(c.distSamples, o.distSamples...)
+	o.lookupSamples, o.distSamples = nil, nil
 	for i := range c.trafficBytes {
 		c.trafficBytes[i] += o.trafficBytes[i]
 		c.trafficMsgs[i] += o.trafficMsgs[i]

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -352,5 +353,48 @@ func TestNegativeDistanceSkipped(t *testing.T) {
 	}
 	if total != 0 {
 		t.Fatal("distance histogram should be empty")
+	}
+}
+
+// MergeFrom over per-cell collectors must report exactly what one
+// collector fed the whole stream reports, grow the merged sample series
+// once, and leave the sources holding no second copy of their samples.
+func TestMergeFromMatchesSingleCollector(t *testing.T) {
+	cfg := Config{BucketWidth: 10 * simkernel.Minute}
+	const end = simkernel.Hour
+	whole := New(cfg)
+	cells := []*Collector{New(cfg), New(cfg), New(cfg)}
+	for i := 0; i < 300; i++ {
+		at := simkernel.Time(i) * 11 * simkernel.Second
+		c := cells[i*7%len(cells)]
+		src := Source(i % 4)
+		// Integer-valued latencies keep the merged float sums exact
+		// whatever order the cells are summed in.
+		lookup, dist := float64(i%97), float64(i%31)
+		if i%5 == 0 {
+			dist = -1
+		}
+		for _, col := range []*Collector{whole, c} {
+			if i%40 == 0 {
+				col.PeerJoined(at)
+			}
+			col.RecordQuery(at, src, lookup, dist)
+			col.RecordMessage(at, 1, 2, simnet.CatGossip, 100+i)
+		}
+	}
+	want := fmt.Sprintf("%+v", whole.Snapshot(end))
+	cells[0].MergeFrom(end, cells[1:]...)
+	if got := fmt.Sprintf("%+v", cells[0].Snapshot(end)); got != want {
+		t.Fatalf("merged report differs\n got %s\nwant %s", got, want)
+	}
+	for i, o := range cells[1:] {
+		if o.lookupSamples != nil || o.distSamples != nil {
+			t.Fatalf("source %d still holds %d/%d samples", i+1, len(o.lookupSamples), len(o.distSamples))
+		}
+	}
+	m := cells[0]
+	if cap(m.lookupSamples) != len(m.lookupSamples) || cap(m.distSamples) != len(m.distSamples) {
+		t.Fatalf("merged samples not grown once: lookup %d/%d dist %d/%d",
+			len(m.lookupSamples), cap(m.lookupSamples), len(m.distSamples), cap(m.distSamples))
 	}
 }

@@ -110,12 +110,8 @@ type ContentPeer struct {
 	pending      []int8
 	pendingCount int
 
-	view *gossip.View
+	view gossip.View
 	dir  DirInfo
-
-	// mergeScratch assembles "received subset + sender entry" for each
-	// gossip merge without a per-exchange allocation.
-	mergeScratch []gossip.Entry
 
 	joinedAt simkernel.Time
 }
@@ -143,7 +139,7 @@ func New(addr simnet.NodeID, site model.SiteID, loc int, cfg Config, joinedAt si
 		base:     in.SiteBase(si),
 		content:  bitset.New(in.ObjectsPerSite()),
 		pending:  make([]int8, in.ObjectsPerSite()),
-		view:     gossip.NewView(addr, cfg.ViewSize),
+		view:     *gossip.NewView(addr, cfg.ViewSize),
 		joinedAt: joinedAt,
 	}
 }
@@ -163,7 +159,7 @@ func (c *ContentPeer) JoinedAt() simkernel.Time { return c.joinedAt }
 
 // View exposes the gossip view (read-mostly; mutations go through the
 // protocol methods).
-func (c *ContentPeer) View() *gossip.View { return c.view }
+func (c *ContentPeer) View() *gossip.View { return &c.view }
 
 // local maps a ref to the peer's per-site dense index. Refs of other
 // sites map outside [0, ObjectsPerSite); like dring.Directory, the
@@ -377,15 +373,9 @@ func (c *ContentPeer) AcceptGossip(msg GossipMsg, rng *rand.Rand, subsetBuf []go
 func (c *ContentPeer) ApplyGossipReply(msg GossipMsg) { c.mergeGossip(msg) }
 
 func (c *ContentPeer) mergeGossip(msg GossipMsg) {
-	// mergeScratch is reusable: Merge copies what it keeps into the view
-	// before returning, so the buffer never escapes an exchange.
-	incoming := append(c.mergeScratch[:0], msg.ViewSubset...)
-	incoming = append(incoming, gossip.Entry{Node: msg.From, Age: 0, Summary: msg.Summary})
-	c.view.Merge(incoming)
-	for i := range incoming {
-		incoming[i] = gossip.Entry{} // do not pin summaries between rounds
-	}
-	c.mergeScratch = incoming[:0]
+	// Merge copies what it keeps into the view, so the message's subset
+	// buffer never escapes the exchange.
+	c.view.MergeWith(msg.ViewSubset, gossip.Entry{Node: msg.From, Age: 0, Summary: msg.Summary})
 	c.ConsiderDir(msg.Dir)
 }
 
@@ -408,18 +398,20 @@ func (c *ContentPeer) DropOldContacts(ageLimit int) []simnet.NodeID {
 // CandidatesFor returns contacts whose summaries test positive for ref, in
 // a load-spreading random order (§4.1: replicas of popular objects spread
 // the load across holders). The probes use the ref's precomputed hashes.
-// The returned slice is freshly allocated (it typically outlives the call,
-// travelling with the query); View.MatchingSummaries(h1, h2) is the
+// The returned slice is freshly allocated, exactly sized (it typically
+// outlives the call, travelling with the query); the matches are gathered
+// in a stack buffer first. View.MatchingSummariesAppend is the
 // allocation-free variant when the result is consumed immediately.
 func (c *ContentPeer) CandidatesFor(ref model.ObjectRef, rng *rand.Rand) []simnet.NodeID {
 	h1, h2 := c.in.Hashes(ref)
-	cands := c.view.MatchingSummaries(h1, h2)
-	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+	var buf [128]simnet.NodeID
+	cands := c.view.MatchingSummariesAppend(h1, h2, buf[:0])
 	if len(cands) == 0 {
 		return nil
 	}
 	out := make([]simnet.NodeID, len(cands))
 	copy(out, cands)
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }
 

@@ -5,8 +5,8 @@ import "testing"
 // The simulate-one-event path must be allocation-free: scheduling pushes a
 // plain event record onto the hand-rolled heap (no container/heap boxing)
 // into a recycled arena slot, and firing returns the slot to the free
-// list. Any regression here multiplies across the millions of events a
-// campaign processes.
+// list; a periodic timer re-arms its own slot. Any regression here
+// multiplies across the millions of events a campaign processes.
 func TestHotPathAllocs(t *testing.T) {
 	k := New(1)
 	fn := func() {}
@@ -45,6 +45,19 @@ func TestHotPathAllocs(t *testing.T) {
 		}); avg != 0 {
 			t.Fatalf("schedule+cancel allocates %.1f/op, want 0", avg)
 		}
+	})
+
+	t.Run("periodic fire", func(t *testing.T) {
+		sink := uint64(0)
+		argFn := func(a uint64) { sink += a }
+		p := k.EveryArg(1, 1, argFn, 7)
+		k.Run(k.Now() + 2)
+		if avg := testing.AllocsPerRun(200, func() {
+			k.Run(k.Now() + 1) // one firing and its re-arm
+		}); avg != 0 {
+			t.Fatalf("periodic fire allocates %.1f/op, want 0", avg)
+		}
+		p.Cancel()
 	})
 }
 

@@ -112,7 +112,7 @@ func TestTickerStopElidesPendingFiring(t *testing.T) {
 	k := New(1)
 	count := 0
 	tk := k.Every(10, 10, func() { count++ })
-	k.At(25, func() { tk.Stop() })
+	k.At(25, func() { tk.Cancel() })
 	if n := k.Run(1000); n != 3 { // fires at 10, 20; stop event at 25
 		t.Fatalf("events processed = %d, want 3", n)
 	}
@@ -124,7 +124,7 @@ func TestTickerStopElidesPendingFiring(t *testing.T) {
 	if k.Elided() != 1 {
 		t.Fatalf("elided = %d, want 1 (the revoked ticker firing)", k.Elided())
 	}
-	tk.Stop() // double Stop stays a no-op
+	tk.Cancel() // double Cancel stays a no-op
 	if k.Cancelled() != 1 {
 		t.Fatalf("cancelled = %d, want 1", k.Cancelled())
 	}
@@ -133,11 +133,11 @@ func TestTickerStopElidesPendingFiring(t *testing.T) {
 func TestTickerStopFromOwnCallbackThenRestartable(t *testing.T) {
 	k := New(1)
 	count := 0
-	var tk *Ticker
+	var tk TimerHandle
 	tk = k.Every(0, 10, func() {
 		count++
 		if count == 2 {
-			tk.Stop()
+			tk.Cancel()
 		}
 	})
 	k.Run(500)
@@ -211,7 +211,7 @@ func traceRun(seed int64) []string {
 		tk := k.Every(Time(rng.Intn(100)), Time(1+rng.Intn(400)), func() {
 			out = append(out, fmt.Sprintf("t%d@%d", i, k.Now()))
 		})
-		k.At(Time(rng.Intn(5000)), tk.Stop)
+		k.At(Time(rng.Intn(5000)), func() { tk.Cancel() })
 	}
 	k.Run(5000)
 	return out

@@ -12,7 +12,10 @@
 // returns a TimerHandle that can cancel the timer before it fires; a
 // cancelled entry is elided lazily when it reaches the top of the heap, so
 // cancellation is O(1) and the heap is never re-sifted. Generation counters
-// make handles ABA-safe across slot reuse.
+// make handles ABA-safe across slot reuse. Periodic timers (Every,
+// EveryArg) keep their slot for life: Run re-arms it after each firing, so
+// a periodic behaviour costs one slot and, with a bound callback, no
+// object at all.
 //
 // The heap is hand-rolled rather than container/heap: the stdlib interface
 // boxes every pushed and popped record through `any`, which costs one heap
@@ -26,6 +29,7 @@ package simkernel
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -145,26 +149,35 @@ func (h eventHeap) peek() (event, bool) { // caller checks Len first
 // A slot carries either a plain callback (fn) or an argument-taking
 // callback (argFn + arg); the latter lets long-lived callers schedule with
 // a reusable function value instead of a fresh closure, so the whole
-// schedule→fire round trip performs zero heap allocations.
+// schedule→fire round trip performs zero heap allocations. A slot is live
+// (scheduled, not yet fired or cancelled) exactly while a callback is
+// installed. A nonzero period makes the slot periodic: Run re-arms it
+// after each firing instead of freeing it, so a periodic timer costs one
+// slot for its whole life. The period is kept in 32 bits so a slot stays
+// four words.
 type timerSlot struct {
-	gen   uint32
-	live  bool
-	fn    func()
-	argFn func(uint64)
-	arg   uint64
+	gen    uint32
+	period uint32 // milliseconds; 0 = one-shot
+	fn     func()
+	argFn  func(uint64)
+	arg    uint64
 }
+
+func (s *timerSlot) live() bool { return s.fn != nil || s.argFn != nil }
 
 // TimerHandle identifies a scheduled timer. The zero value is inert:
 // Cancel and Active on it are safe no-ops. Handles stay valid (and
 // harmless) after the timer fires or is cancelled — the generation
-// counter prevents a stale handle from touching a reused slot.
+// counter prevents a stale handle from touching a reused slot. A periodic
+// timer keeps one handle across all of its firings.
 type TimerHandle struct {
 	k    *Kernel
 	slot uint32
 	gen  uint32
 }
 
-// Cancel revokes the timer if it has not fired yet. It reports whether
+// Cancel revokes the timer if it has not fired yet, or a periodic timer's
+// future firings (also from inside its own callback). It reports whether
 // this call actually cancelled it; cancelling a fired, already-cancelled
 // or zero handle is a no-op returning false.
 func (h TimerHandle) Cancel() bool {
@@ -172,12 +185,12 @@ func (h TimerHandle) Cancel() bool {
 		return false
 	}
 	s := &h.k.slots[h.slot]
-	if s.gen != h.gen || !s.live {
+	if s.gen != h.gen || !s.live() {
 		return false
 	}
-	s.live = false
 	s.fn = nil
 	s.argFn = nil
+	s.period = 0
 	h.k.free = append(h.k.free, h.slot)
 	h.k.live--
 	h.k.cancelled++
@@ -190,13 +203,14 @@ func (h TimerHandle) Cancel() bool {
 // are instead abandoned (handle zeroed, token bumped) and fire as no-ops.
 func (h TimerHandle) OwnedBy(k *Kernel) bool { return h.k == k && k != nil }
 
-// Active reports whether the timer is still scheduled to fire.
+// Active reports whether the timer is still scheduled to fire. A periodic
+// timer stays active, its own callback included, until cancelled.
 func (h TimerHandle) Active() bool {
 	if h.k == nil {
 		return false
 	}
 	s := &h.k.slots[h.slot]
-	return s.gen == h.gen && s.live
+	return s.gen == h.gen && s.live()
 }
 
 // Kernel is a discrete-event simulation engine. The zero value is not
@@ -284,7 +298,8 @@ func (k *Kernel) Cancelled() uint64 { return k.cancelled }
 func (k *Kernel) Elided() uint64 { return k.elided }
 
 // Pending reports how many live timers are waiting to fire. Cancelled
-// entries still occupying the heap are not counted.
+// entries still occupying the heap are not counted; a periodic timer
+// counts once, while its callback runs too.
 func (k *Kernel) Pending() int { return k.live }
 
 // NextEvent returns the timestamp of the earliest heap record, if any.
@@ -298,7 +313,7 @@ func (k *Kernel) NextEvent() (Time, bool) {
 }
 
 // alloc takes a slot from the free list (or grows the arena) and bumps its
-// generation. The caller installs the callback.
+// generation. The caller installs the callback, which makes the slot live.
 func (k *Kernel) alloc() uint32 {
 	var slot uint32
 	if n := len(k.free); n > 0 {
@@ -308,9 +323,7 @@ func (k *Kernel) alloc() uint32 {
 		k.slots = append(k.slots, timerSlot{})
 		slot = uint32(len(k.slots) - 1)
 	}
-	s := &k.slots[slot]
-	s.gen++
-	s.live = true
+	k.slots[slot].gen++
 	return slot
 }
 
@@ -369,50 +382,45 @@ func (k *Kernel) AfterArg(d Time, fn func(uint64), arg uint64) TimerHandle {
 	return k.AtArg(k.now+d, fn, arg)
 }
 
-// Ticker repeatedly schedules a function at a fixed period until stopped.
-type Ticker struct {
-	k       *Kernel
-	period  Time
-	fn      func()
-	fireFn  func() // t.fire bound once; rescheduling allocates no method value
-	next    TimerHandle
-	stopped bool
+// EveryArg schedules fn(arg) to run every period, with the first firing
+// start milliseconds from now, and returns a handle whose Cancel stops it.
+// The timer owns one slot for its whole life: Run re-arms it after each
+// callback returns, with a fresh sequence number, so each firing lands
+// exactly where an After(period) scheduled at the end of the callback
+// would. A bound fn makes a periodic behaviour cost no allocation at all,
+// neither per timer nor per firing.
+func (k *Kernel) EveryArg(start, period Time, fn func(uint64), arg uint64) TimerHandle {
+	if fn == nil {
+		panic("simkernel: nil event function")
+	}
+	slot := k.allocPeriodic(period)
+	s := &k.slots[slot]
+	s.argFn = fn
+	s.arg = arg
+	return k.schedule(k.now+max(start, 0), slot)
 }
 
-// Every schedules fn to run every period, with the first firing after
-// start. It returns a Ticker whose Stop method cancels future firings.
-func (k *Kernel) Every(start, period Time, fn func()) *Ticker {
+// Every is EveryArg for a plain callback.
+func (k *Kernel) Every(start, period Time, fn func()) TimerHandle {
+	if fn == nil {
+		panic("simkernel: nil event function")
+	}
+	slot := k.allocPeriodic(period)
+	k.slots[slot].fn = fn
+	return k.schedule(k.now+max(start, 0), slot)
+}
+
+func (k *Kernel) allocPeriodic(period Time) uint32 {
 	if period <= 0 {
 		panic("simkernel: non-positive ticker period")
 	}
-	t := &Ticker{k: k, period: period, fn: fn}
-	t.fireFn = t.fire
-	t.next = k.After(start, t.fireFn)
-	return t
-}
-
-func (t *Ticker) fire() {
-	if t.stopped {
-		return
+	if period > math.MaxUint32 {
+		panic("simkernel: ticker period beyond 2^32 ms")
 	}
-	t.fn()
-	if !t.stopped { // fn may have stopped the ticker
-		t.next = t.k.After(t.period, t.fireFn)
-	}
+	slot := k.alloc()
+	k.slots[slot].period = uint32(period)
+	return slot
 }
-
-// Stop cancels the ticker, revoking its pending firing. Safe to call
-// multiple times, including from inside the ticker's own callback.
-func (t *Ticker) Stop() {
-	if t.stopped {
-		return
-	}
-	t.stopped = true
-	t.next.Cancel()
-}
-
-// Stopped reports whether Stop has been called.
-func (t *Ticker) Stopped() bool { return t.stopped }
 
 // Run executes events in timestamp order until the queue is empty, the
 // clock reaches until, or Stop is called. Events scheduled exactly at
@@ -432,16 +440,17 @@ func (k *Kernel) Run(until Time) uint64 {
 		}
 		k.queue.pop()
 		s := &k.slots[ev.slot]
-		if s.gen != ev.gen || !s.live {
+		if s.gen != ev.gen || !s.live() {
 			k.elided++
 			continue
 		}
-		fn, argFn, arg := s.fn, s.argFn, s.arg
-		s.live = false
-		s.fn = nil
-		s.argFn = nil
-		k.free = append(k.free, ev.slot)
-		k.live--
+		fn, argFn, arg, period := s.fn, s.argFn, s.arg, s.period
+		if period == 0 {
+			s.fn = nil
+			s.argFn = nil
+			k.free = append(k.free, ev.slot)
+			k.live--
+		}
 		k.now = ev.at
 		if argFn != nil {
 			argFn(arg)
@@ -450,6 +459,15 @@ func (k *Kernel) Run(until Time) uint64 {
 		}
 		n++
 		k.processed++
+		// A periodic slot stays live through its callback, so the callback
+		// may cancel it; re-arm only if it did not (a cancelled slot may
+		// even have been handed out again, under a new generation).
+		if period > 0 {
+			if s := &k.slots[ev.slot]; s.gen == ev.gen && s.live() {
+				k.seq++
+				k.queue.push(event{at: k.now + Time(period), seq: k.seq, slot: ev.slot, gen: ev.gen})
+			}
+		}
 	}
 	if k.now < until && !k.stopped {
 		k.now = until // idle time passes even with an empty queue

@@ -92,7 +92,7 @@ func TestTicker(t *testing.T) {
 	k := New(1)
 	var fires []Time
 	tk := k.Every(10, 25, func() { fires = append(fires, k.Now()) })
-	k.At(70, func() { tk.Stop() })
+	k.At(70, func() { tk.Cancel() })
 	k.Run(500)
 	want := []Time{10, 35, 60}
 	if len(fires) != len(want) {
@@ -103,19 +103,19 @@ func TestTicker(t *testing.T) {
 			t.Fatalf("fires = %v, want %v", fires, want)
 		}
 	}
-	if !tk.Stopped() {
-		t.Fatal("ticker should report stopped")
+	if tk.Active() {
+		t.Fatal("cancelled ticker should report inactive")
 	}
 }
 
 func TestTickerStopInsideCallback(t *testing.T) {
 	k := New(1)
 	count := 0
-	var tk *Ticker
+	var tk TimerHandle
 	tk = k.Every(0, 10, func() {
 		count++
 		if count == 3 {
-			tk.Stop()
+			tk.Cancel()
 		}
 	})
 	k.Run(1000)
@@ -257,8 +257,11 @@ func TestAfterNegativeClamped(t *testing.T) {
 func TestSchedulingPanics(t *testing.T) {
 	k := New(1)
 	for name, fn := range map[string]func(){
-		"nil event":   func() { k.At(1, nil) },
-		"zero period": func() { k.Every(0, 0, func() {}) },
+		"nil event":             func() { k.At(1, nil) },
+		"zero period":           func() { k.Every(0, 0, func() {}) },
+		"nil periodic":          func() { k.EveryArg(0, 1, nil, 0) },
+		"negative arg period":   func() { k.EveryArg(0, -1, func(uint64) {}, 0) },
+		"period beyond 2^32 ms": func() { k.Every(0, 1<<32, func() {}) },
 	} {
 		func() {
 			defer func() {
